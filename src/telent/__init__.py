@@ -8,10 +8,8 @@ randomized verification engine for every bound the library implements.
 """
 
 from .matfun import (
-    RankTolerance,
     SpectralDecomposition,
     check_hermitian,
-    compress_to_support,
     frechet_log_map,
     frechet_power_map,
     hermitian_part,
@@ -38,7 +36,6 @@ from .oracle import (
 )
 from .renyi import renyi_overlap, renyi_overlap_telescoped, state_power, trre
 from .states import (
-    SeededSampler,
     check_density,
     haar_random_pure,
     haar_unitary,
@@ -72,7 +69,6 @@ from .verify import (
     check_joint_convexity,
     check_limit_closed_forms,
     check_lower_pinsker,
-    check_maximality,
     check_range,
     check_trre_bound,
     check_upper_T,
@@ -82,72 +78,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "RankTolerance",
-    "SpectralDecomposition",
-    "check_hermitian",
-    "compress_to_support",
-    "frechet_log_map",
-    "frechet_power_map",
-    "hermitian_part",
-    "matrix_function",
-    "positive_part",
-    "spectral_decompose",
-    "support_basis",
-    "support_projector",
-    "support_rank",
-    "trace_norm_distance",
-    "QuadratureScheme",
-    "finite_diff_frechet",
-    "log_scheme",
-    "power_scheme",
-    "quad_frechet_log",
-    "quad_frechet_power",
-    "quad_log",
-    "quad_power",
-    "quad_projector_integral",
-    "quad_tre",
-    "rational_scheme",
-    "renyi_overlap",
-    "renyi_overlap_telescoped",
-    "state_power",
-    "trre",
-    "SeededSampler",
-    "check_density",
-    "haar_random_pure",
-    "haar_unitary",
-    "is_orthogonal",
-    "pure_from_vector",
-    "qubit_pair_with_angle",
-    "random_mixed_hs",
-    "random_orthogonal_pair",
-    "state_from_jsonable",
-    "state_to_jsonable",
-    "telescope_mix",
-    "binary_entropy",
-    "collinear_smoothing_bound",
-    "holevo_two",
-    "holevo_two_via_relative",
-    "lendi_regularised",
-    "relative_entropy",
-    "scalar_tre",
-    "telescopic_relative_entropy",
-    "tre_limit_one",
-    "tre_limit_zero",
-    "tre_pure_closed_form",
-    "von_neumann_entropy",
-    "FuzzConfig",
-    "VerificationReport",
-    "check_holevo",
-    "check_joint_convexity",
-    "check_limit_closed_forms",
-    "check_lower_pinsker",
-    "check_maximality",
-    "check_range",
-    "check_trre_bound",
-    "check_upper_T",
-    "replay_witness",
-    "richardson",
-    "run_fuzz",
-]

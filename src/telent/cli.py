@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import trace_norm_distance
+from .matfun import _EPS_RANK, trace_norm_distance
 from .renyi import trre
-from .states import state_from_jsonable, state_to_jsonable
+from .states import EPS_ORTH, state_from_jsonable, state_to_jsonable
 from .tre import (
+    EPS_SUPP,
     relative_entropy,
     telescope_mix,
     telescopic_relative_entropy,
@@ -108,9 +109,9 @@ def _compute_record(rho, sigma, a, p, bits):
         "S0": tre_limit_zero(rho, sigma),
         "S1": tre_limit_one(rho, sigma),
         "S_rho_tau": raw * scale if math.isfinite(raw) else None,
-        "epsilon_rank": "dim * 2^-52 * lambda_max (relative)",
-        "epsilon_orth": 1e-12,
-        "epsilon_supp": 1e-10,
+        "epsilon_rank": f"dim * 2^{math.log2(_EPS_RANK):.0f} * lambda_max (relative)",
+        "epsilon_orth": EPS_ORTH,
+        "epsilon_supp": EPS_SUPP,
     }
     if p is not None:
         record["p"] = p
@@ -244,6 +245,16 @@ def _dims_list(text: str) -> list[int]:
     return dims
 
 
+def _env_seed() -> int:
+    text = os.environ.get("TRE_SEED")
+    if text is None:
+        return _DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"TRE_SEED must be an integer, got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telent",
@@ -276,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--seed",
         type=int,
-        default=int(os.environ.get("TRE_SEED", _DEFAULT_SEED)),
+        default=_env_seed(),
         help="master seed (default: TRE_SEED env var or %(default)s)",
     )
     v.add_argument("--slack", type=float, default=1e-9)
@@ -292,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "TOL_HERM",
-    "RankTolerance",
     "SpectralDecomposition",
     "hermitian_part",
     "check_hermitian",
@@ -23,7 +22,6 @@ __all__ = [
     "support_projector",
     "support_basis",
     "support_rank",
-    "compress_to_support",
     "positive_part",
     "trace_norm_distance",
     "frechet_log_map",
@@ -33,39 +31,13 @@ __all__ = [
 # Hermiticity tolerance for validating inputs (entrywise).
 TOL_HERM = 1e-10
 
+# Numerical-rank epsilon per dimension: eigenvalues of a PSD matrix at or
+# below dim * _EPS_RANK * lambda_max are treated as exact zeros.
+_EPS_RANK = 2.0**-52
+
 # Relative gap below which divided differences switch to the midpoint
 # derivative to avoid catastrophic cancellation.
 _DD_NEAR = 1e-8
-
-
-@dataclass(frozen=True)
-class RankTolerance:
-    """Numerical-rank cutoff separating support eigenvalues from the kernel.
-
-    ``mode="relative"`` scales the cutoff with the largest eigenvalue,
-    ``mode="absolute"`` uses ``epsilon_rank`` as-is.  The default epsilon,
-    ``dim * 2**-52``, is the usual numerical-rank convention.  Eigenvalues
-    in ``[-cutoff, 0)`` are treated as roundoff and clamped to zero; values
-    below ``-cutoff`` are rejected as genuinely non-PSD.
-    """
-
-    epsilon_rank: float | None = None
-    mode: str = "relative"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("relative", "absolute"):
-            raise ValueError(f"unknown rank-tolerance mode {self.mode!r}")
-        if self.epsilon_rank is not None and self.epsilon_rank < 0:
-            raise ValueError("epsilon_rank must be nonnegative")
-
-    def cutoff(self, dim: int, lam_max: float) -> float:
-        eps = self.epsilon_rank if self.epsilon_rank is not None else dim * 2.0**-52
-        if self.mode == "absolute":
-            return eps
-        return eps * max(lam_max, 0.0)
-
-
-DEFAULT_RANK_TOL = RankTolerance()
 
 
 @dataclass(frozen=True)
@@ -94,8 +66,8 @@ def hermitian_part(X: np.ndarray) -> np.ndarray:
     return (X + X.conj().T) / 2
 
 
-def check_hermitian(H, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate that ``H`` is square and Hermitian within ``tol``.
+def check_hermitian(H) -> np.ndarray:
+    """Validate that ``H`` is square, finite and Hermitian within ``TOL_HERM``.
 
     Raises ``ValueError`` naming the worst entry pair on violation.
     Returns the input as a complex ndarray.
@@ -106,10 +78,13 @@ def check_hermitian(H, tol: float = TOL_HERM) -> np.ndarray:
     delta = np.abs(H - H.conj().T)
     k = int(np.argmax(delta))
     i, j = divmod(k, H.shape[0])
-    if delta[i, j] > tol:
+    # a non-finite entry makes its delta NaN or inf, so it fails this test
+    if not delta[i, j] <= TOL_HERM:
+        if not np.all(np.isfinite(H)):
+            raise ValueError("matrix has non-finite entries")
         raise ValueError(
             f"matrix is not Hermitian: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {delta[i, j]:.3e} (tolerance {tol:.1e})"
+            f"differ by {delta[i, j]:.3e} (tolerance {TOL_HERM:.1e})"
         )
     return H
 
@@ -119,21 +94,20 @@ def _check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
 
 
-def spectral_decompose(H, tol_herm: float = TOL_HERM) -> SpectralDecomposition:
+def spectral_decompose(H) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    H = check_hermitian(H, tol_herm)
-    lam, U = np.linalg.eigh(H)
+    lam, U = np.linalg.eigh(check_hermitian(H))
     return SpectralDecomposition(lam, U)
 
 
-def matrix_function(H, f, tol_herm: float = TOL_HERM) -> np.ndarray:
+def matrix_function(H, f) -> np.ndarray:
     """U diag(f(lambda)) U* for a vectorized real scalar function ``f``.
 
     Raises ``ValueError`` when ``f`` is undefined (non-finite) at any
     eigenvalue, e.g. the logarithm at a numerically zero eigenvalue when
     support-restricted semantics were not requested by the caller.
     """
-    dec = spectral_decompose(H, tol_herm)
+    dec = spectral_decompose(H)
     with np.errstate(all="ignore"):
         vals = np.asarray(f(dec.eigenvalues), dtype=float)
     if vals.shape != dec.eigenvalues.shape:
@@ -144,55 +118,57 @@ def matrix_function(H, f, tol_herm: float = TOL_HERM) -> np.ndarray:
     return hermitian_part(dec.apply(vals))
 
 
-def _psd_eigenvalues(
-    dec: SpectralDecomposition, rtol: RankTolerance
-) -> tuple[np.ndarray, float]:
-    """Clamp roundoff-negative eigenvalues to 0; reject genuine negatives."""
+def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
+    """Decompose a PSD matrix with its numerical kernel set to exact zeros.
+
+    Every eigenvalue at or below the rank cutoff dim * 2**-52 * lambda_max
+    becomes exactly 0, so ``eigenvalues > 0`` masks the support.  Returns
+    the decomposition and the cutoff.  Rejection uses the looser level
+    dim * TOL_HERM * lambda_max: inputs pass as Hermitian with entrywise
+    asymmetry up to TOL_HERM, which alone moves eigenvalues that far, and
+    eigh roundoff on a zero eigenvalue can exceed the rank cutoff.
+    """
+    dec = spectral_decompose(A)
     lam = dec.eigenvalues
-    cut = rtol.cutoff(dec.dim, float(lam[-1]))
-    if lam[0] < -cut:
+    scale = max(float(lam[-1]), 0.0)
+    bound = dec.dim * TOL_HERM * scale
+    if lam[0] < -bound:
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {lam[0]:.6e} "
-            f"below -{cut:.3e}"
+            f"below -{bound:.3e}"
         )
-    return np.maximum(lam, 0.0), cut
+    cut = dec.dim * _EPS_RANK * scale
+    lam[lam <= cut] = 0.0
+    return dec, cut
 
 
-def support_basis(A, rtol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
+def support_basis(A) -> np.ndarray:
     """Orthonormal columns spanning the support of a PSD matrix."""
-    dec = spectral_decompose(A)
-    lam, cut = _psd_eigenvalues(dec, rtol)
-    return dec.eigenvectors[:, lam > cut]
+    dec, _ = _psd_spectrum(A)
+    return dec.eigenvectors[:, dec.eigenvalues > 0.0]
 
 
-def support_projector(A, rtol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
+def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD matrix.
 
-    The rank is the number of eigenvalues above the resolved cutoff.
+    The rank is the number of eigenvalues above the rank cutoff.
     """
-    V = support_basis(A, rtol)
+    V = support_basis(A)
     return V @ V.conj().T
 
 
-def support_rank(A, rtol: RankTolerance = DEFAULT_RANK_TOL) -> int:
+def support_rank(A) -> int:
     """Numerical rank of a PSD matrix (eigenvalues above the cutoff)."""
-    return support_basis(A, rtol).shape[1]
+    return support_basis(A).shape[1]
 
 
-def compress_to_support(A, X, rtol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Compression V* A V of ``A`` to the support of the PSD matrix ``X``."""
-    A = np.asarray(A, dtype=complex)
-    V = support_basis(X, rtol)
-    return V.conj().T @ A @ V
-
-
-def positive_part(X, tol_herm: float = TOL_HERM) -> np.ndarray:
+def positive_part(X) -> np.ndarray:
     """Positive part (X + |X|)/2: negative eigenvalues zeroed out."""
-    dec = spectral_decompose(X, tol_herm)
+    dec = spectral_decompose(X)
     return hermitian_part(dec.apply(np.maximum(dec.eigenvalues, 0.0)))
 
 
-def trace_norm_distance(rho, sigma, tol_herm: float = TOL_HERM) -> float:
+def trace_norm_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma.
 
     For density-matrix inputs this equals the sum of positive eigenvalues
@@ -201,20 +177,19 @@ def trace_norm_distance(rho, sigma, tol_herm: float = TOL_HERM) -> float:
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     _check_same_dim(rho, sigma)
-    lam = np.linalg.eigvalsh(check_hermitian(rho - sigma, tol_herm))
+    lam = np.linalg.eigvalsh(check_hermitian(rho - sigma))
     return 0.5 * float(np.sum(np.abs(lam)))
 
 
-def _positive_spectrum(A, rtol: RankTolerance) -> SpectralDecomposition:
+def _positive_spectrum(A) -> SpectralDecomposition:
     """Decompose ``A`` and require it to be positive definite."""
-    dec = spectral_decompose(A)
-    lam, cut = _psd_eigenvalues(dec, rtol)
-    if lam[0] <= cut:
+    dec, _ = _psd_spectrum(A)
+    if dec.eigenvalues[0] == 0.0:
         raise ValueError(
             "matrix is rank deficient within tolerance; compress to its "
             "support before applying the derivative map"
         )
-    return SpectralDecomposition(lam, dec.eigenvectors)
+    return dec
 
 
 def _loewner_log(lam: np.ndarray) -> np.ndarray:
@@ -256,9 +231,7 @@ def _apply_loewner(
     return hermitian_part(U @ (D * G) @ U.conj().T)
 
 
-def frechet_log_map(
-    A, Delta, rtol: RankTolerance = DEFAULT_RANK_TOL, tol_herm: float = TOL_HERM
-) -> np.ndarray:
+def frechet_log_map(A, Delta) -> np.ndarray:
     """Directional derivative of the matrix logarithm at ``A``.
 
     Returns d/dt log(A + t Delta) at t = 0, computed by divided
@@ -267,19 +240,13 @@ def frechet_log_map(
     the identity.  ``A`` must be positive definite; compress rank-deficient
     operators to their support first.
     """
-    Delta = check_hermitian(Delta, tol_herm)
-    dec = _positive_spectrum(A, rtol)
+    Delta = check_hermitian(Delta)
+    dec = _positive_spectrum(A)
     _check_same_dim(dec.eigenvectors, Delta)
     return _apply_loewner(dec, _loewner_log(dec.eigenvalues), Delta)
 
 
-def frechet_power_map(
-    A,
-    Delta,
-    p: float,
-    rtol: RankTolerance = DEFAULT_RANK_TOL,
-    tol_herm: float = TOL_HERM,
-) -> np.ndarray:
+def frechet_power_map(A, Delta, p: float) -> np.ndarray:
     """Directional derivative of the fractional power A -> A**p, 0 < p < 1.
 
     Returns d/dt (A + t Delta)**p at t = 0 via divided differences.
@@ -288,7 +255,7 @@ def frechet_power_map(
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"power order p must lie in (0, 1), got {p}")
-    Delta = check_hermitian(Delta, tol_herm)
-    dec = _positive_spectrum(A, rtol)
+    Delta = check_hermitian(Delta)
+    dec = _positive_spectrum(A)
     _check_same_dim(dec.eigenvectors, Delta)
     return _apply_loewner(dec, _loewner_power(dec.eigenvalues, p), Delta)

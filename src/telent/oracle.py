@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .matfun import DEFAULT_RANK_TOL, RankTolerance, hermitian_part, support_basis
+from .matfun import hermitian_part, support_basis
 
 __all__ = [
     "QuadratureScheme",
@@ -179,13 +179,7 @@ def quad_projector_integral(
     return hermitian_part(out)
 
 
-def quad_tre(
-    rho,
-    sigma,
-    a: float,
-    scheme: QuadratureScheme | None = None,
-    rtol: RankTolerance = DEFAULT_RANK_TOL,
-) -> float:
+def quad_tre(rho, sigma, a: float, scheme: QuadratureScheme | None = None) -> float:
     """Telescopic relative entropy through its resolvent-difference integral.
 
     (1/log a) * sum of w_k tr rho [(rho + s_k)^-1 - (tau + s_k)^-1] with
@@ -200,7 +194,7 @@ def quad_tre(
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     sch = scheme if scheme is not None else rational_scheme()
     _require_kind(sch, "rational")
-    V = support_basis((rho + sigma) / 2.0, rtol)
+    V = support_basis((rho + sigma) / 2.0)
     rho_c = V.conj().T @ rho @ V
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
     s = sch.nodes

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import DEFAULT_RANK_TOL, RankTolerance, spectral_decompose
+from .matfun import _psd_spectrum
 from .states import telescope_mix
 
 __all__ = ["state_power", "renyi_overlap", "renyi_overlap_telescoped", "trre"]
 
 
-def state_power(rho, q: float, rtol: RankTolerance = DEFAULT_RANK_TOL) -> np.ndarray:
+def state_power(rho, q: float) -> np.ndarray:
     """rho**q on the spectrum of a PSD operator, 0 <= q <= 1.
 
     Eigenvalues at or below the rank cutoff are treated as exact zeros;
@@ -27,24 +27,13 @@ def state_power(rho, q: float, rtol: RankTolerance = DEFAULT_RANK_TOL) -> np.nda
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {q}")
-    dec = spectral_decompose(rho)
+    dec, _ = _psd_spectrum(rho)
     lam = dec.eigenvalues
-    cut = rtol.cutoff(dec.dim, float(lam[-1]))
-    if lam[0] < -cut:
-        raise ValueError(
-            f"state is not positive semidefinite: eigenvalue {lam[0]:.6e}"
-        )
-    supported = lam > cut
-    if q == 0.0:
-        vals = supported.astype(float)
-    else:
-        vals = np.where(supported, np.maximum(lam, 0.0) ** q, 0.0)
-    return dec.apply(vals)
+    # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
+    return dec.apply(lam**q if q > 0.0 else (lam > 0.0).astype(float))
 
 
-def renyi_overlap(
-    rho, sigma, p: float, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def renyi_overlap(rho, sigma, p: float) -> float:
     """tr rho^(1-p) sigma^p for p in [0, 1].
 
     Symmetric under swapping (rho, p) with (sigma, 1-p); equals 1 at
@@ -58,14 +47,12 @@ def renyi_overlap(
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     value = float(
-        np.real(np.trace(state_power(rho, 1.0 - p, rtol) @ state_power(sigma, p, rtol)))
+        np.real(np.trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
     )
     return max(value, 0.0)
 
 
-def renyi_overlap_telescoped(
-    rho, sigma, p: float, a: float, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
     """Raw telescoped overlap tr rho^(1-p) (a*rho + (1-a)*sigma)^p.
 
     Takes values in [a^p, 1]; the minimum a^p is attained exactly on
@@ -73,12 +60,10 @@ def renyi_overlap_telescoped(
     """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"telescoping parameter a must lie in [0, 1), got {a}")
-    return renyi_overlap(rho, telescope_mix(rho, sigma, a), p, rtol)
+    return renyi_overlap(rho, telescope_mix(rho, sigma, a), p)
 
 
-def trre(
-    rho, sigma, p: float, a: float, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def trre(rho, sigma, p: float, a: float) -> float:
     """Telescopic relative Renyi entropy Q_{p,a} in [0, 1].
 
     (1 - tr rho^(1-p) tau^p) / (1 - a^p) with tau = a*rho + (1-a)*sigma.
@@ -87,6 +72,6 @@ def trre(
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"Renyi order p must lie in (0, 1), got {p}")
-    overlap = renyi_overlap_telescoped(rho, sigma, p, a, rtol)
+    overlap = renyi_overlap_telescoped(rho, sigma, p, a)
     value = (1.0 - overlap) / (1.0 - a**p)
     return max(float(value), 0.0)

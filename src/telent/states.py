@@ -7,15 +7,12 @@ orthogonality test, and the seeded samplers the verification engine uses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .matfun import DEFAULT_RANK_TOL, RankTolerance, check_hermitian
+from .matfun import _psd_spectrum, check_hermitian
 
 __all__ = [
     "EPS_ORTH",
-    "SeededSampler",
     "check_density",
     "pure_from_vector",
     "qubit_pair_with_angle",
@@ -31,48 +28,19 @@ __all__ = [
 
 # Absolute tolerance on tr(rho sigma) for declaring orthogonality; the
 # overlap of normalized states is scale-free, so this is independent of
-# the rank tolerance.
+# the rank cutoff.
 EPS_ORTH = 1e-12
 
 _TRACE_ATOL = 1e-10
-_U64 = (1 << 64) - 1
 
 
-@dataclass
-class SeededSampler:
-    """Deterministic source of per-trial RNG streams.
-
-    A fixed (seed, counter) pair always yields the same stream; trial
-    streams are derived as seed XOR counter so independent workers can
-    reproduce any trial in isolation.
-    """
-
-    seed: int
-    counter: int = 0
-
-    def rng_at(self, index: int) -> np.random.Generator:
-        return np.random.default_rng((self.seed ^ index) & _U64)
-
-    def next_rng(self) -> np.random.Generator:
-        rng = self.rng_at(self.counter)
-        self.counter += 1
-        return rng
-
-
-def check_density(
-    rho, rtol: RankTolerance = DEFAULT_RANK_TOL, atol_trace: float = _TRACE_ATOL
-) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD within tolerance, trace 1."""
     rho = check_hermitian(rho)
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > atol_trace:
+    if abs(tr - 1.0) > _TRACE_ATOL:
         raise ValueError(f"trace must be 1, got {tr!r}")
-    lam = np.linalg.eigvalsh(rho)
-    cut = rtol.cutoff(rho.shape[0], float(lam[-1]))
-    if lam[0] < -cut:
-        raise ValueError(
-            f"state is not positive semidefinite: eigenvalue {lam[0]:.6e}"
-        )
+    _psd_spectrum(rho)
     return rho
 
 
@@ -157,13 +125,13 @@ def random_orthogonal_pair(
     return rho, sigma
 
 
-def is_orthogonal(rho, sigma, tol: float = EPS_ORTH) -> bool:
-    """True iff tr(rho sigma) <= tol (mutually orthogonal supports)."""
+def is_orthogonal(rho, sigma) -> bool:
+    """True iff tr(rho sigma) <= EPS_ORTH (mutually orthogonal supports)."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    return float(np.real(np.trace(rho @ sigma))) <= tol
+    return float(np.real(np.trace(rho @ sigma))) <= EPS_ORTH
 
 
 def state_to_jsonable(rho) -> dict:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matfun import (
-    DEFAULT_RANK_TOL,
-    RankTolerance,
+    _psd_spectrum,
     spectral_decompose,
     support_basis,
     support_projector,
@@ -55,38 +54,22 @@ def _clamp_entropy(value: float) -> float:
     return value
 
 
-def _state_spectrum(rho, rtol: RankTolerance) -> np.ndarray:
-    """Eigenvalues of a state, roundoff negatives clamped to zero."""
-    dec = spectral_decompose(rho)
-    lam = dec.eigenvalues
-    cut = rtol.cutoff(dec.dim, float(lam[-1]))
-    if lam[0] < -cut:
-        raise ValueError(
-            f"state is not positive semidefinite: eigenvalue {lam[0]:.6e}"
-        )
-    return np.where(lam > cut, lam, 0.0)
-
-
 def _sum_xlogx(lam: np.ndarray) -> float:
     """sum lambda_i log lambda_i with the 0 log 0 = 0 convention."""
     pos = lam[lam > 0.0]
     return float(np.sum(pos * np.log(pos)))
 
 
-def von_neumann_entropy(rho, rtol: RankTolerance = DEFAULT_RANK_TOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """- tr rho log rho; zero for pure states, log(dim) for maximally mixed."""
-    return _clamp_entropy(-_sum_xlogx(_state_spectrum(rho, rtol)))
+    dec, _ = _psd_spectrum(rho)
+    return _clamp_entropy(-_sum_xlogx(dec.eigenvalues))
 
 
-def relative_entropy(
-    rho,
-    sigma,
-    rtol: RankTolerance = DEFAULT_RANK_TOL,
-    eps_supp: float = EPS_SUPP,
-) -> float:
+def relative_entropy(rho, sigma) -> float:
     """tr rho (log rho - log sigma), +inf outside the support of sigma.
 
-    The value is infinite when rho carries more than ``eps_supp`` mass on
+    The value is infinite when rho carries more than ``EPS_SUPP`` mass on
     the kernel of sigma; otherwise both operators are compressed to the
     support of sigma and the result is finite and nonnegative.
     """
@@ -94,23 +77,22 @@ def relative_entropy(
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    V = support_basis(sigma, rtol)
+    V = support_basis(sigma)
     rho_c = V.conj().T @ rho @ V
     leak = 1.0 - float(np.trace(rho_c).real)
-    if leak > eps_supp:
+    if leak > EPS_SUPP:
         return float("inf")
     sig_c = V.conj().T @ sigma @ V
     dec = spectral_decompose(sig_c)
     log_sig = dec.apply(np.log(dec.eigenvalues))
-    value = _sum_xlogx(_state_spectrum(rho, rtol)) - float(
+    rho_dec, _ = _psd_spectrum(rho)
+    value = _sum_xlogx(rho_dec.eigenvalues) - float(
         np.real(np.trace(rho_c @ log_sig))
     )
     return _clamp_entropy(value)
 
 
-def telescopic_relative_entropy(
-    rho, sigma, a: float, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def telescopic_relative_entropy(rho, sigma, a: float) -> float:
     """S(rho || a*rho + (1-a)*sigma) / (-log a), valued in [0, 1].
 
     Always finite: the mixture dominates a*rho, so rho never leaves its
@@ -129,27 +111,26 @@ def telescopic_relative_entropy(
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"telescoping parameter a must lie in [0, 1], got {a}")
     if a == 0.0:
-        return tre_limit_zero(rho, sigma, rtol)
+        return tre_limit_zero(rho, sigma)
     if a == 1.0:
-        return tre_limit_one(rho, sigma, rtol)
+        return tre_limit_one(rho, sigma)
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    V = support_basis((rho + sigma) / 2.0, rtol)
+    V = support_basis((rho + sigma) / 2.0)
     rho_c = V.conj().T @ rho @ V
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
-    dec = spectral_decompose(tau_c)
-    lam = dec.eigenvalues
-    floor = rtol.cutoff(dec.dim, float(lam[-1]))
-    log_tau = dec.apply(np.log(np.maximum(lam, floor)))
-    value = _sum_xlogx(_state_spectrum(rho, rtol)) - float(
+    dec, floor = _psd_spectrum(tau_c)
+    log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor)))
+    rho_dec, _ = _psd_spectrum(rho)
+    value = _sum_xlogx(rho_dec.eigenvalues) - float(
         np.real(np.trace(rho_c @ log_tau))
     )
     return _clamp_entropy(_clamp_entropy(value) / (-np.log(a)))
 
 
-def tre_limit_zero(rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL) -> float:
+def tre_limit_zero(rho, sigma) -> float:
     """a -> 0 limit: 1 - tr rho {sigma}.
 
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
@@ -158,13 +139,13 @@ def tre_limit_zero(rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL) -> float:
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    P = support_projector(sigma, rtol)
+    P = support_projector(sigma)
     return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ P))))
 
 
-def tre_limit_one(rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL) -> float:
+def tre_limit_one(rho, sigma) -> float:
     """a -> 1 limit: 1 - tr sigma {rho}.  Zero whenever rho is faithful."""
-    return tre_limit_zero(sigma, rho, rtol)
+    return tre_limit_zero(sigma, rho)
 
 
 def tre_pure_closed_form(t: float, a: float) -> float:
@@ -222,7 +203,7 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log(p) - (1.0 - p) * np.log1p(-p))
 
 
-def holevo_two(p: float, rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL) -> float:
+def holevo_two(p: float, rho, sigma) -> float:
     """Holevo quantity of the two-state ensemble {(p, rho), (1-p, sigma)}.
 
     S(p rho + (1-p) sigma) - p S(rho) - (1-p) S(sigma); bounded above by
@@ -233,16 +214,14 @@ def holevo_two(p: float, rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL) -> 
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     mix = telescope_mix(rho, sigma, p)
     value = (
-        von_neumann_entropy(mix, rtol)
-        - p * von_neumann_entropy(rho, rtol)
-        - (1.0 - p) * von_neumann_entropy(sigma, rtol)
+        von_neumann_entropy(mix)
+        - p * von_neumann_entropy(rho)
+        - (1.0 - p) * von_neumann_entropy(sigma)
     )
     return _clamp_entropy(float(value))
 
 
-def holevo_two_via_relative(
-    p: float, rho, sigma, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def holevo_two_via_relative(p: float, rho, sigma) -> float:
     """Same quantity as weighted relative entropies against the mixture.
 
     p S(rho||mix) + (1-p) S(sigma||mix); zero-weight terms are skipped so
@@ -253,15 +232,13 @@ def holevo_two_via_relative(
     mix = telescope_mix(rho, sigma, p)
     value = 0.0
     if p > 0.0:
-        value += p * relative_entropy(rho, mix, rtol)
+        value += p * relative_entropy(rho, mix)
     if p < 1.0:
-        value += (1.0 - p) * relative_entropy(sigma, mix, rtol)
+        value += (1.0 - p) * relative_entropy(sigma, mix)
     return _clamp_entropy(float(value))
 
 
-def lendi_regularised(
-    rho, sigma, c_d: float = 1.0, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> float:
+def lendi_regularised(rho, sigma, c_d: float = 1.0) -> float:
     """Identity-mixing regularisation of the relative entropy.
 
     c_d * S((rho + I)/(1 + d) || (sigma + I)/(1 + d)) in dimension d.
@@ -276,12 +253,10 @@ def lendi_regularised(
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     d = rho.shape[0]
     eye = np.eye(d)
-    return c_d * relative_entropy((rho + eye) / (1 + d), (sigma + eye) / (1 + d), rtol)
+    return c_d * relative_entropy((rho + eye) / (1 + d), (sigma + eye) / (1 + d))
 
 
-def collinear_smoothing_bound(
-    rho, sigma, epsilon: float, rtol: RankTolerance = DEFAULT_RANK_TOL
-) -> tuple[float, float]:
+def collinear_smoothing_bound(rho, sigma, epsilon: float) -> tuple[float, float]:
     """Collinear shortcut to smoothing: mix toward rho within a trace budget.
 
     With a = epsilon / ||rho - sigma||_1 and tau = a*rho + (1-a)*sigma the
@@ -296,4 +271,4 @@ def collinear_smoothing_bound(
         )
     a = epsilon / norm1
     tau = telescope_mix(rho, sigma, a)
-    return relative_entropy(rho, tau, rtol), float(-np.log(a))
+    return relative_entropy(rho, tau), float(-np.log(a))

@@ -50,7 +50,6 @@ __all__ = [
     "check_lower_pinsker",
     "check_holevo",
     "check_holevo_paths",
-    "check_maximality",
     "maximality_margin",
     "check_trre_bound",
     "check_trre_overlap",
@@ -90,7 +89,6 @@ class FuzzConfig:
     p_grid: tuple[float, ...] = (0.25, 0.5, 0.75)
     seed: int = 2026
     slack: float = 1e-9
-    include_rank_deficient: bool = True
 
     def __post_init__(self) -> None:
         if any(d < 2 for d in self.dims):
@@ -147,17 +145,18 @@ class VerificationReport:
         return lines
 
     def to_json(self) -> str:
+        """Deterministic JSON; a check with zero trials has a null worst margin."""
+        checks = {}
+        for name, st in self.checks.items():
+            checks[name] = asdict(st)
+            if st.trials == 0:
+                checks[name]["worst_margin"] = None
         doc = {
             "config": asdict(self.config),
-            "checks": {name: asdict(st) for name, st in self.checks.items()},
+            "checks": checks,
             "passed": self.passed,
         }
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def report_from_json(text: str) -> dict:
-    """Parse a serialized report back into plain dictionaries."""
-    return json.loads(text)
 
 
 def richardson(hs, values) -> float:
@@ -230,17 +229,6 @@ def maximality_margin(rho, sigma, a: float, sa: float | None = None) -> float | 
     if overlap >= _OVERLAP_MIN:
         return (1.0 - _STRICT_GAP) - sa
     return None
-
-
-def check_maximality(rho, sigma, a: float, slack: float = 1e-9) -> bool:
-    """Consistency of (S_a == 1 within slack) with orthogonality.
-
-    Meaningful away from the gray zone of overlaps between the
-    orthogonality tolerance and the strict gap; the fuzz engine probes it
-    through constructed orthogonal pairs and well-overlapping pairs.
-    """
-    sa = telescopic_relative_entropy(rho, sigma, a)
-    return (sa >= 1.0 - slack) == is_orthogonal(rho, sigma)
 
 
 def check_trre_bound(rho, sigma, p: float, a: float, q=None, t=None) -> float:
@@ -344,14 +332,13 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     checks["limit_one"] = CheckStats("limit_one", 1e-3)
     checks["limit_cauchy"] = CheckStats("limit_cauchy", 1e-4)
 
-    strata = [s for s in STRATA if config.include_rank_deficient or s != "rank_deficient"]
     trial_index = 0
     for dim in config.dims:
         for trial in range(config.trials):
             rng = np.random.default_rng(
                 (config.seed ^ trial_index) & ((1 << 64) - 1)
             )
-            stratum = strata[trial % len(strata)]
+            stratum = STRATA[trial % len(STRATA)]
             rho, sigma = _sample_pair(dim, stratum, rng)
             base = {
                 "dim": dim,

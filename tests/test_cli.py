@@ -100,6 +100,13 @@ class TestCompute:
         assert main(["compute", r, r, "--a", "0.5"]) == 2
         assert "r.json" in capsys.readouterr().err
 
+    def test_non_finite_state_exit_two(self, tmp_path, capsys):
+        r = write_state(tmp_path, "r.json", {"diag": [float("nan"), 1.0]})
+        assert main(["compute", r, r, "--a", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_bad_a_exit_two(self, qubit_files, capsys):
         rho, sigma = qubit_files
         assert main(["compute", rho, sigma, "--a", "1.5"]) == 2
@@ -222,6 +229,30 @@ class TestVerifyCommand:
         assert main(["verify", "--dims", "2", "--trials", "4", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["seed"] == 12321
+        capsys.readouterr()
+
+    def test_bad_seed_env_var_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRE_SEED", "abc")
+        assert main(["pure", "--t", "0.5", "--a", "0.5"]) == 2
+        assert main(["verify", "--dims", "2", "--trials", "1"]) == 2
+        assert "TRE_SEED" in capsys.readouterr().err
+
+    def test_check_without_trials_writes_null(self, tmp_path, capsys):
+        # no d=12 pair of this run is orthogonal or overlaps by >= 0.1, so
+        # the maximality check never runs
+        out = tmp_path / "r.json"
+        args = ["verify", "--dims", "12", "--trials", "1", "--seed", "0"]
+        assert main(args + ["--out", str(out)]) == 0
+        st = json.loads(out.read_text())["checks"]["maximality"]
+        assert st["trials"] == 0 and st["worst_margin"] is None
+        assert "PASS maximality: trials=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [4207910563, 1853940655])
+    def test_eigh_roundoff_is_not_rejected_as_non_psd(self, seed, capsys):
+        # each seed draws a d=3 pair whose zero eigenvalues come back from
+        # eigh a little below the rank cutoff
+        args = ["verify", "--dims", "2,3,4", "--trials", "16", "--seed", str(seed)]
+        assert main(args) == 0
         capsys.readouterr()
 
 

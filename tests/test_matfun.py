@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from helpers import random_hermitian, random_pd
 from telent.matfun import (
-    RankTolerance,
     frechet_log_map,
     frechet_power_map,
+    check_hermitian,
     hermitian_part,
     matrix_function,
     positive_part,
@@ -47,6 +47,12 @@ class TestSpectralDecompose:
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             spectral_decompose(M)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        for M in (np.diag([bad, 1.0]), np.array([[0.5, bad], [bad, 0.5]])):
+            with pytest.raises(ValueError, match="non-finite"):
+                check_hermitian(M)
 
 
 class TestMatrixFunction:
@@ -97,12 +103,10 @@ class TestSupportProjector:
         with pytest.raises(ValueError, match="positive semidefinite"):
             support_projector(np.diag([1.0, -0.5]))
 
-    def test_rank_tolerance_modes(self):
-        A = np.diag([1.0, 1e-6])
-        assert support_rank(A) == 2
-        assert support_rank(A, RankTolerance(1e-3, "absolute")) == 1
-        with pytest.raises(ValueError):
-            RankTolerance(0.1, "bogus")
+    def test_roundoff_negatives_are_kernel(self):
+        # below the rank cutoff but far above -dim * TOL_HERM * lambda_max
+        assert support_rank(np.diag([-1e-13, 1.0])) == 1
+        assert support_rank(np.diag([1e-6, 1.0])) == 2
 
 
 class TestPositivePart:

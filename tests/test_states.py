@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from telent.matfun import trace_norm_distance
 from telent.states import (
-    SeededSampler,
     check_density,
     haar_random_pure,
     is_orthogonal,
@@ -135,21 +134,6 @@ class TestSampling:
         with pytest.raises(ValueError, match="rank"):
             random_mixed_hs(3, 4, rng)
 
-    def test_seeded_sampler_reproducible(self):
-        s1, s2 = SeededSampler(777), SeededSampler(777)
-        a = haar_random_pure(4, s1.next_rng())
-        b = haar_random_pure(4, s2.next_rng())
-        assert np.array_equal(a, b)
-        assert s1.counter == s2.counter == 1
-        # indexed access matches the stream order
-        c = haar_random_pure(4, SeededSampler(777).rng_at(0))
-        assert np.array_equal(a, c)
-
-    def test_different_counters_differ(self):
-        s = SeededSampler(777)
-        a = haar_random_pure(4, s.next_rng())
-        b = haar_random_pure(4, s.next_rng())
-        assert not np.allclose(a, b)
 
 
 class TestOrthogonality:

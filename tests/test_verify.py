@@ -12,13 +12,11 @@ from telent.verify import (
     check_joint_convexity,
     check_limit_closed_forms,
     check_lower_pinsker,
-    check_maximality,
     check_range,
     check_trre_bound,
     check_upper_T,
     maximality_margin,
     replay_witness,
-    report_from_json,
     richardson,
     run_fuzz,
 )
@@ -78,14 +76,12 @@ class TestCheckMargins:
 
     def test_maximality(self, rng):
         r, s = random_orthogonal_pair(3, rng)
-        assert check_maximality(r, s, 0.5)
         assert maximality_margin(r, s, 0.5) == pytest.approx(0.0, abs=1e-10)
         rho = random_mixed_hs(2, 2, rng)
         sigma = random_mixed_hs(2, 2, rng)
         if np.real(np.trace(rho @ sigma)) >= 0.1:
-            assert check_maximality(rho, sigma, 0.5)
             assert maximality_margin(rho, sigma, 0.5) > 0.0
-        assert check_maximality(rho, rho, 0.5)
+        assert maximality_margin(rho, rho, 0.5) > 0.0
 
     def test_trre_bound_edges(self, rng):
         rho = random_mixed_hs(3, 3, rng)
@@ -166,17 +162,11 @@ class TestRunFuzz:
 
     def test_report_json_round_trip(self):
         report = run_fuzz(FuzzConfig(dims=(2,), trials=8, seed=4))
-        doc = report_from_json(report.to_json())
+        doc = json.loads(report.to_json())
         assert doc["passed"] is True
         assert set(doc["checks"]) == set(report.checks)
         wit = doc["checks"]["upper_T"]["witness"]
         assert replay_witness(wit) == pytest.approx(wit["margin"], abs=1e-12)
-
-    def test_rank_deficient_stratum_togglable(self):
-        report = run_fuzz(
-            FuzzConfig(dims=(2,), trials=8, seed=4, include_rank_deficient=False)
-        )
-        assert report.passed
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
