@@ -8,6 +8,7 @@ is a pure function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ _EPS_RANK = 2.0**-52
 # Relative gap below which divided differences switch to the midpoint
 # derivative to avoid catastrophic cancellation.
 _DD_NEAR = 1e-8
+
+# Number of distinct matrices whose PSD spectra ``_psd_spectrum`` keeps.
+_SPECTRUM_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,9 @@ def check_hermitian(H) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    delta = np.abs(H - H.conj().T)
+    # inf - inf would warn; the non-finite test below reports it instead
+    with np.errstate(invalid="ignore"):
+        delta = np.abs(H - H.conj().T)
     k = int(np.argmax(delta))
     i, j = divmod(k, H.shape[0])
     # a non-finite entry makes its delta NaN or inf, so it fails this test
@@ -127,8 +133,26 @@ def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
     dim * TOL_HERM * lambda_max: inputs pass as Hermitian with entrywise
     asymmetry up to TOL_HERM, which alone moves eigenvalues that far, and
     eigh roundoff on a zero eigenvalue can exceed the rank cutoff.
+
+    Results are memoised on the exact bytes of the input as a complex
+    array, so a matrix is decomposed once while it stays among the
+    ``_SPECTRUM_CACHE_SIZE`` (8) most recently used distinct inputs; an
+    entry holds about twice the matrix, some 130 KB at dim 64.  Equal
+    bytes give an identical eigh result, so a hit returns exactly what a
+    fresh call would.  Every miss runs the full validation and an input
+    that raises is never stored, so invalid input raises on every call.
+    The cached eigenvalue and eigenvector arrays are read-only; callers
+    that hand arrays out must derive new ones from them.
     """
-    dec = spectral_decompose(A)
+    H = np.asarray(A, dtype=complex)
+    return _psd_spectrum_of_bytes(H.shape, H.tobytes())
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _psd_spectrum_of_bytes(
+    shape: tuple[int, ...], data: bytes
+) -> tuple[SpectralDecomposition, float]:
+    dec = spectral_decompose(np.frombuffer(data, dtype=complex).reshape(shape))
     lam = dec.eigenvalues
     scale = max(float(lam[-1]), 0.0)
     bound = dec.dim * TOL_HERM * scale
@@ -139,6 +163,8 @@ def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
         )
     cut = dec.dim * _EPS_RANK * scale
     lam[lam <= cut] = 0.0
+    lam.flags.writeable = False
+    dec.eigenvectors.flags.writeable = False
     return dec, cut
 
 

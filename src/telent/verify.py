@@ -210,9 +210,11 @@ def check_holevo(p: float, rho, sigma, chi=None, t=None) -> float:
     return binary_entropy(p) * t - chi
 
 
-def check_holevo_paths(p: float, rho, sigma) -> float:
+def check_holevo_paths(p: float, rho, sigma, chi=None) -> float:
     """-|chi via entropies - chi via relative entropies| (path equality)."""
-    return -abs(holevo_two(p, rho, sigma) - holevo_two_via_relative(p, rho, sigma))
+    if chi is None:
+        chi = holevo_two(p, rho, sigma)
+    return -abs(chi - holevo_two_via_relative(p, rho, sigma))
 
 
 def maximality_margin(rho, sigma, a: float, sa: float | None = None) -> float | None:
@@ -247,15 +249,20 @@ def check_trre_overlap(rho, sigma, p: float, a: float, overlap=None) -> float:
     return min(overlap - a**p, 1.0 - overlap)
 
 
-def check_joint_convexity(pairs, weights, a: float) -> float:
-    """sum_i w_i S_a(rho_i||sigma_i) - S_a(sum w_i rho_i || sum w_i sigma_i)."""
+def check_joint_convexity(pairs, weights, a: float, values=None) -> float:
+    """sum_i w_i S_a(rho_i||sigma_i) - S_a(sum w_i rho_i || sum w_i sigma_i).
+
+    ``values`` optionally holds the per-pair S_a(rho_i||sigma_i).
+    """
     if len(pairs) != len(weights):
         raise ValueError("need one weight per pair")
+    if values is None:
+        values = [telescopic_relative_entropy(r, s, a) for r, s in pairs]
+    elif len(values) != len(pairs):
+        raise ValueError("need one value per pair")
     rho_mix = sum(w * np.asarray(r, dtype=complex) for w, (r, _) in zip(weights, pairs))
     sig_mix = sum(w * np.asarray(s, dtype=complex) for w, (_, s) in zip(weights, pairs))
-    avg = sum(
-        w * telescopic_relative_entropy(r, s, a) for w, (r, s) in zip(weights, pairs)
-    )
+    avg = sum(w * v for w, v in zip(weights, values))
     return avg - telescopic_relative_entropy(rho_mix, sig_mix, a)
 
 
@@ -349,8 +356,9 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
             }
             t = trace_norm_distance(rho, sigma)
 
+            sa_by_a = {}
             for a in config.a_grid:
-                sa = telescopic_relative_entropy(rho, sigma, a)
+                sa = sa_by_a[a] = telescopic_relative_entropy(rho, sigma, a)
                 wit = dict(base, a=a)
                 checks["range"].record(check_range(rho, sigma, a, sa=sa), wit)
                 checks["upper_T"].record(
@@ -365,8 +373,11 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
 
             p_h = config.p_grid[trial % len(config.p_grid)]
             wit = dict(base, p=p_h)
-            checks["holevo"].record(check_holevo(p_h, rho, sigma, t=t), wit)
-            checks["holevo_paths"].record(check_holevo_paths(p_h, rho, sigma), wit)
+            chi = holevo_two(p_h, rho, sigma)
+            checks["holevo"].record(check_holevo(p_h, rho, sigma, chi=chi, t=t), wit)
+            checks["holevo_paths"].record(
+                check_holevo_paths(p_h, rho, sigma, chi=chi), wit
+            )
 
             for p in config.p_grid:
                 for a in config.a_grid:
@@ -392,7 +403,13 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
             )
             checks["joint_convexity"].record(
                 check_joint_convexity(
-                    [(rho, sigma), (rho2, sigma2)], (weight, 1.0 - weight), a_jc
+                    [(rho, sigma), (rho2, sigma2)],
+                    (weight, 1.0 - weight),
+                    a_jc,
+                    values=[
+                        sa_by_a[a_jc],
+                        telescopic_relative_entropy(rho2, sigma2, a_jc),
+                    ],
                 ),
                 wit,
             )

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import random_hermitian, random_pd
 from telent.matfun import (
+    _psd_spectrum,
     frechet_log_map,
     frechet_power_map,
     check_hermitian,
@@ -13,11 +14,13 @@ from telent.matfun import (
     matrix_function,
     positive_part,
     spectral_decompose,
+    support_basis,
     support_projector,
     support_rank,
     trace_norm_distance,
 )
 from telent.oracle import finite_diff_frechet
+from telent.renyi import state_power
 from telent.states import haar_unitary
 
 
@@ -48,6 +51,7 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             spectral_decompose(M)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
         for M in (np.diag([bad, 1.0]), np.array([[0.5, bad], [bad, 0.5]])):
@@ -107,6 +111,56 @@ class TestSupportProjector:
         # below the rank cutoff but far above -dim * TOL_HERM * lambda_max
         assert support_rank(np.diag([-1e-13, 1.0])) == 1
         assert support_rank(np.diag([1e-6, 1.0])) == 2
+
+
+class TestSpectrumMemo:
+    def test_equal_input_decomposes_once(self, rng, linalg_calls):
+        A = random_pd(rng, 4)
+        first = _psd_spectrum(A)
+        assert _psd_spectrum(A.copy()) is first
+        assert _psd_spectrum(A.tolist()) is first
+        assert linalg_calls["eigh"] == 1
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.diag([1.0, -0.5]), "positive semidefinite"),
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+            (np.diag([np.nan, 1.0]), "non-finite"),
+        ],
+    )
+    def test_invalid_input_raises_every_call(self, bad, match, linalg_calls):
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                _psd_spectrum(bad)
+
+    def test_in_place_change_is_seen(self, linalg_calls):
+        A = np.diag([0.25, 0.75])
+        before, _ = _psd_spectrum(A)
+        A[0, 0] = A[1, 1] = 0.5
+        after, _ = _psd_spectrum(A)
+        assert_allclose(before.eigenvalues, [0.25, 0.75])
+        assert_allclose(after.eigenvalues, [0.5, 0.5])
+        assert linalg_calls["eigh"] == 2
+
+    def test_cached_arrays_read_only(self, rng, linalg_calls):
+        A = random_pd(rng, 3)
+        dec, _ = _psd_spectrum(A)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvalues[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.eigenvectors[0, 0] = 1.0
+        # public results are fresh arrays, also when the memo hits
+        for _ in range(2):
+            for out in (
+                support_basis(A),
+                support_projector(A),
+                state_power(A, 0.0),
+                state_power(A, 0.5),
+                state_power(A, 1.0),
+            ):
+                assert out.flags.writeable
+        assert linalg_calls["eigh"] == 1
 
 
 class TestPositivePart:

@@ -4,11 +4,19 @@ import math
 import numpy as np
 import pytest
 
+from telent.matfun import trace_norm_distance
+from telent.renyi import trre
 from telent.states import random_mixed_hs, random_orthogonal_pair
-from telent.tre import telescopic_relative_entropy
+from telent.tre import (
+    holevo_two,
+    telescopic_relative_entropy,
+    tre_limit_one,
+    tre_limit_zero,
+)
 from telent.verify import (
     FuzzConfig,
     check_holevo,
+    check_holevo_paths,
     check_joint_convexity,
     check_limit_closed_forms,
     check_lower_pinsker,
@@ -102,6 +110,20 @@ class TestCheckMargins:
         )
         assert check_joint_convexity([pair, pair2], (0.3, 0.7), 0.4) >= -1e-9
 
+    def test_precomputed_values_match(self, rng):
+        rho, sigma = random_mixed_hs(3, 3, rng), random_mixed_hs(3, 2, rng)
+        chi = holevo_two(0.3, rho, sigma)
+        assert check_holevo_paths(0.3, rho, sigma, chi=chi) == check_holevo_paths(
+            0.3, rho, sigma
+        )
+        pairs = [(rho, sigma), (random_mixed_hs(3, 3, rng), random_mixed_hs(3, 3, rng))]
+        values = [telescopic_relative_entropy(r, s, 0.25) for r, s in pairs]
+        assert check_joint_convexity(
+            pairs, (0.4, 0.6), 0.25, values=values
+        ) == check_joint_convexity(pairs, (0.4, 0.6), 0.25)
+        with pytest.raises(ValueError, match="one value per pair"):
+            check_joint_convexity(pairs, (0.4, 0.6), 0.25, values=values[:1])
+
     def test_limit_margins(self, rng):
         rho = random_mixed_hs(2, 1, rng)
         sigma = np.diag([0.2, 0.8]).astype(complex)
@@ -175,3 +197,32 @@ class TestRunFuzz:
             FuzzConfig(trials=0)
         with pytest.raises(ValueError):
             FuzzConfig(a_grid=(0.0, 0.5))
+
+
+class TestWorkCount:
+    """Upper bounds on LAPACK calls, so repeated decompositions cannot creep back."""
+
+    A_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
+    P_GRID = (0.25, 0.5, 0.75)
+
+    @pytest.mark.parametrize("rank", [8, 3])
+    def test_compute_quantity_set(self, rng, rank, linalg_calls):
+        rho, sigma = random_mixed_hs(8, 8, rng), random_mixed_hs(8, rank, rng)
+        for a in self.A_GRID:
+            telescopic_relative_entropy(rho, sigma, a)
+        trace_norm_distance(rho, sigma)
+        tre_limit_zero(rho, sigma)
+        tre_limit_one(rho, sigma)
+        for p in self.P_GRID:
+            for a in self.A_GRID:
+                trre(rho, sigma, p, a)
+        # one eigh per distinct matrix: rho, sigma, and per a the mixture
+        # compressed to the joint support and the full mixture, whose a = 1/2
+        # member is (rho+sigma)/2 bit for bit
+        assert linalg_calls["eigh"] <= 12
+        assert linalg_calls["eigvalsh"] <= 1
+
+    def test_fuzz_trial(self, linalg_calls):
+        config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
+        run_fuzz(config)
+        assert linalg_calls["eigh"] <= 30 * len(config.dims) * config.trials
