@@ -6,17 +6,17 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from telent.cli import main as cli_main
+from telent.cli import FIGURE_IDS, main as cli_main
 
 
 def main() -> None:
-    p = argparse.ArgumentParser(description="Write fig1a/fig1b/fig2a/fig2b CSVs")
+    p = argparse.ArgumentParser(description="Write the CSV of every survey figure")
     p.add_argument("--outdir", type=Path, default=Path("figures"))
     p.add_argument("--points", type=int, default=101)
     args = p.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for fig in ("fig1a", "fig1b", "fig2a", "fig2b"):
+    for fig in FIGURE_IDS:
         out = args.outdir / f"{fig}.csv"
         rc = cli_main(["figure", fig, "--points", str(args.points), "--out", str(out)])
         if rc != 0:

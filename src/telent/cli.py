@@ -42,13 +42,8 @@ from .tre import (
 )
 from .verify import FuzzConfig, run_fuzz
 
-__all__ = [
-    "FigureSpec",
-    "load_state",
-    "figure_rows",
-    "main",
-    "FIG1_A_VALUES",
-]
+# Figures that ``telent figure`` tabulates.
+FIGURE_IDS = ("fig1a", "fig1b", "fig2a", "fig2b")
 
 # Interior a-values for the x-sweep figures, spanning near-endpoint to
 # near-unity telescoping.
@@ -66,7 +61,7 @@ class FigureSpec:
     points: int = 101
 
     def __post_init__(self) -> None:
-        if self.figure_id not in ("fig1a", "fig1b", "fig2a", "fig2b"):
+        if self.figure_id not in FIGURE_IDS:
             raise ValueError(f"unknown figure id {self.figure_id!r}")
         if self.points < 2:
             raise ValueError("grid resolution must be at least 2")
@@ -183,8 +178,6 @@ def _write_csv(comment: str, header: list[str], rows, out) -> None:
 def _cmd_compute(args) -> int:
     rho = load_state(args.rho)
     sigma = load_state(args.sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     record = _compute_record(rho, sigma, args.a, args.p, args.bits)
     _emit_record(record, args.format, sys.stdout)
     return 0
@@ -276,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_compute)
 
     f = sub.add_parser("figure", help="CSV data for the survey figures")
-    f.add_argument("figure", choices=("fig1a", "fig1b", "fig2a", "fig2b"))
+    f.add_argument("figure", choices=FIGURE_IDS)
     f.add_argument("--points", type=int, default=101, help="grid resolution")
     f.add_argument("--out", default=None, help="output CSV path (default stdout)")
     f.set_defaults(func=_cmd_figure)

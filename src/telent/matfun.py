@@ -1,9 +1,9 @@
 """Hermitian spectral toolkit.
 
-Eigendecomposition-based matrix functions, support projectors, positive
-parts, the trace norm distance, and the divided-difference derivative maps
-of the matrix logarithm and of fractional matrix powers.  Everything here
-is a pure function of its inputs.
+Eigendecomposition with the PSD cutoff every quantity shares, support
+projectors, the trace norm distance, and the divided-difference
+derivative maps of the matrix logarithm and of fractional matrix powers.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -12,22 +12,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "TOL_HERM",
-    "SpectralDecomposition",
-    "hermitian_part",
-    "check_hermitian",
-    "spectral_decompose",
-    "matrix_function",
-    "support_projector",
-    "support_basis",
-    "support_rank",
-    "positive_part",
-    "trace_norm_distance",
-    "frechet_log_map",
-    "frechet_power_map",
-]
 
 # Hermiticity tolerance for validating inputs (entrywise).
 TOL_HERM = 1e-10
@@ -54,10 +38,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """U diag(lambda) U*."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """U diag(values) U* for per-eigenvalue scalars ``values``."""
@@ -95,33 +75,19 @@ def check_hermitian(H) -> np.ndarray:
     return H
 
 
-def _check_same_dim(A: np.ndarray, B: np.ndarray) -> None:
+def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as complex arrays, which must have the same shape."""
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return A, B
 
 
 def spectral_decompose(H) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
     lam, U = np.linalg.eigh(check_hermitian(H))
     return SpectralDecomposition(lam, U)
-
-
-def matrix_function(H, f) -> np.ndarray:
-    """U diag(f(lambda)) U* for a vectorized real scalar function ``f``.
-
-    Raises ``ValueError`` when ``f`` is undefined (non-finite) at any
-    eigenvalue, e.g. the logarithm at a numerically zero eigenvalue when
-    support-restricted semantics were not requested by the caller.
-    """
-    dec = spectral_decompose(H)
-    with np.errstate(all="ignore"):
-        vals = np.asarray(f(dec.eigenvalues), dtype=float)
-    if vals.shape != dec.eigenvalues.shape:
-        raise ValueError("f must map the eigenvalue array to an equal-length array")
-    if not np.all(np.isfinite(vals)):
-        bad = dec.eigenvalues[~np.isfinite(vals)][0]
-        raise ValueError(f"function undefined at eigenvalue {bad:.6e}")
-    return hermitian_part(dec.apply(vals))
 
 
 def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
@@ -183,26 +149,13 @@ def support_projector(A) -> np.ndarray:
     return V @ V.conj().T
 
 
-def support_rank(A) -> int:
-    """Numerical rank of a PSD matrix (eigenvalues above the cutoff)."""
-    return support_basis(A).shape[1]
-
-
-def positive_part(X) -> np.ndarray:
-    """Positive part (X + |X|)/2: negative eigenvalues zeroed out."""
-    dec = spectral_decompose(X)
-    return hermitian_part(dec.apply(np.maximum(dec.eigenvalues, 0.0)))
-
-
 def trace_norm_distance(rho, sigma) -> float:
     """Half the trace norm of rho - sigma.
 
     For density-matrix inputs this equals the sum of positive eigenvalues
     of the difference and lies in [0, 1].
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    _check_same_dim(rho, sigma)
+    rho, sigma = _as_pair(rho, sigma)
     lam = np.linalg.eigvalsh(check_hermitian(rho - sigma))
     return 0.5 * float(np.sum(np.abs(lam)))
 
@@ -266,9 +219,9 @@ def frechet_log_map(A, Delta) -> np.ndarray:
     the identity.  ``A`` must be positive definite; compress rank-deficient
     operators to their support first.
     """
+    A, Delta = _as_pair(A, Delta)
     Delta = check_hermitian(Delta)
     dec = _positive_spectrum(A)
-    _check_same_dim(dec.eigenvectors, Delta)
     return _apply_loewner(dec, _loewner_log(dec.eigenvalues), Delta)
 
 
@@ -281,7 +234,7 @@ def frechet_power_map(A, Delta, p: float) -> np.ndarray:
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"power order p must lie in (0, 1), got {p}")
+    A, Delta = _as_pair(A, Delta)
     Delta = check_hermitian(Delta)
     dec = _positive_spectrum(A)
-    _check_same_dim(dec.eigenvectors, Delta)
     return _apply_loewner(dec, _loewner_power(dec.eigenvalues, p), Delta)

@@ -19,21 +19,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .matfun import hermitian_part, support_basis
-
-__all__ = [
-    "QuadratureScheme",
-    "rational_scheme",
-    "log_scheme",
-    "power_scheme",
-    "quad_log",
-    "quad_frechet_log",
-    "quad_projector_integral",
-    "quad_tre",
-    "quad_power",
-    "quad_frechet_power",
-    "finite_diff_frechet",
-]
+from .matfun import _as_pair, hermitian_part, support_basis
 
 DEFAULT_NODES = 501
 
@@ -188,10 +174,7 @@ def quad_tre(rho, sigma, a: float, scheme: QuadratureScheme | None = None) -> fl
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"telescoping parameter a must lie in (0, 1), got {a}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     sch = scheme if scheme is not None else rational_scheme()
     _require_kind(sch, "rational")
     V = support_basis((rho + sigma) / 2.0)

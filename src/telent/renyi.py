@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _psd_spectrum
+from .matfun import _as_pair, _psd_spectrum
 from .states import telescope_mix
-
-__all__ = ["state_power", "renyi_overlap", "renyi_overlap_telescoped", "trre"]
 
 
 def state_power(rho, q: float) -> np.ndarray:
@@ -42,10 +40,7 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     value = float(
         np.real(np.trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
     )

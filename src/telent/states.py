@@ -9,22 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _psd_spectrum, check_hermitian
-
-__all__ = [
-    "EPS_ORTH",
-    "check_density",
-    "pure_from_vector",
-    "qubit_pair_with_angle",
-    "telescope_mix",
-    "haar_unitary",
-    "haar_random_pure",
-    "random_mixed_hs",
-    "random_orthogonal_pair",
-    "is_orthogonal",
-    "state_to_jsonable",
-    "state_from_jsonable",
-]
+from .matfun import _as_pair, _psd_spectrum, check_hermitian
 
 # Absolute tolerance on tr(rho sigma) for declaring orthogonality; the
 # overlap of normalized states is scale-free, so this is independent of
@@ -68,10 +53,7 @@ def qubit_pair_with_angle(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def telescope_mix(rho, sigma, a: float) -> np.ndarray:
     """Collinear mixture a*rho + (1-a)*sigma pulling sigma toward rho."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"mixing parameter a must lie in [0, 1], got {a}")
     return a * rho + (1.0 - a) * sigma
@@ -107,10 +89,7 @@ def random_mixed_hs(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray
 
 
 def random_orthogonal_pair(
-    dim: int,
-    rng: np.random.Generator,
-    rank_rho: int | None = None,
-    rank_sigma: int | None = None,
+    dim: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two states supported on orthogonal subspaces of a Haar-random frame."""
     if dim < 2:
@@ -118,8 +97,8 @@ def random_orthogonal_pair(
     U = haar_unitary(dim, rng)
     k = int(rng.integers(1, dim))
     A, B = U[:, :k], U[:, k:]
-    ra = rank_rho if rank_rho is not None else int(rng.integers(1, k + 1))
-    rb = rank_sigma if rank_sigma is not None else int(rng.integers(1, dim - k + 1))
+    ra = int(rng.integers(1, k + 1))
+    rb = int(rng.integers(1, dim - k + 1))
     rho = A @ random_mixed_hs(k, ra, rng) @ A.conj().T
     sigma = B @ random_mixed_hs(dim - k, rb, rng) @ B.conj().T
     return rho, sigma
@@ -127,10 +106,7 @@ def random_orthogonal_pair(
 
 def is_orthogonal(rho, sigma) -> bool:
     """True iff tr(rho sigma) <= EPS_ORTH (mutually orthogonal supports)."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     return float(np.real(np.trace(rho @ sigma))) <= EPS_ORTH
 
 

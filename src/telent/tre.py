@@ -1,11 +1,10 @@
 """Telescopic relative entropy.
 
 The normalized quantity S(rho || a*rho + (1-a)*sigma) / (-log a), its
-closed-form limits at a -> 0 and a -> 1, the exact pure-state and scalar
-formulas, and the surrounding entropy quantities (von Neumann entropy,
-relative entropy with support semantics, binary entropy, the two-state
-Holevo quantity, the identity-mixing regularisation, and the collinear
-smoothing bound).
+closed-form limits at a -> 0 and a -> 1, the exact pure-state formula,
+and the entropy quantities it is built from and checked against (von
+Neumann entropy, relative entropy with support semantics, binary
+entropy, and the two-state Holevo quantity).
 
 All entropies are natural-log (nats).  The telescopic quantities are
 dimensionless ratios and independent of the log base.
@@ -16,29 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .matfun import (
+    _as_pair,
     _psd_spectrum,
     spectral_decompose,
     support_basis,
     support_projector,
-    trace_norm_distance,
 )
 from .states import telescope_mix
-
-__all__ = [
-    "EPS_SUPP",
-    "von_neumann_entropy",
-    "relative_entropy",
-    "telescopic_relative_entropy",
-    "tre_limit_zero",
-    "tre_limit_one",
-    "tre_pure_closed_form",
-    "scalar_tre",
-    "binary_entropy",
-    "holevo_two",
-    "holevo_two_via_relative",
-    "lendi_regularised",
-    "collinear_smoothing_bound",
-]
 
 # Mass of rho allowed outside the support of sigma before the relative
 # entropy is declared infinite.
@@ -73,10 +56,7 @@ def relative_entropy(rho, sigma) -> float:
     the kernel of sigma; otherwise both operators are compressed to the
     support of sigma and the result is finite and nonnegative.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     V = support_basis(sigma)
     rho_c = V.conj().T @ rho @ V
     leak = 1.0 - float(np.trace(rho_c).real)
@@ -114,10 +94,7 @@ def telescopic_relative_entropy(rho, sigma, a: float) -> float:
         return tre_limit_zero(rho, sigma)
     if a == 1.0:
         return tre_limit_one(rho, sigma)
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     V = support_basis((rho + sigma) / 2.0)
     rho_c = V.conj().T @ rho @ V
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
@@ -135,16 +112,15 @@ def tre_limit_zero(rho, sigma) -> float:
 
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _as_pair(rho, sigma)
     P = support_projector(sigma)
     return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ P))))
 
 
 def tre_limit_one(rho, sigma) -> float:
     """a -> 1 limit: 1 - tr sigma {rho}.  Zero whenever rho is faithful."""
+    # checked before the swap, so a mismatch names the shapes in call order
+    rho, sigma = _as_pair(rho, sigma)
     return tre_limit_zero(sigma, rho)
 
 
@@ -177,21 +153,6 @@ def tre_pure_closed_form(t: float, a: float) -> float:
         second = (c / u) * np.log((1.0 + u) ** 2 / w)
     value = (-np.log(w / 4.0) - second) / (-2.0 * np.log(a))
     return max(float(value), 0.0)
-
-
-def scalar_tre(b: float, c: float, a: float) -> float:
-    """Scalar case b (log b - log(ab + (1-a)c)) / (-log a), 0 log 0 = 0.
-
-    Defined for all nonnegative scalars, not just normalized ones, so the
-    value is bounded above by b but may be negative when c > b.
-    """
-    if b < 0.0 or c < 0.0:
-        raise ValueError("scalar arguments must be nonnegative")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"telescoping parameter a must lie in (0, 1), got {a}")
-    if b == 0.0:
-        return 0.0
-    return float(b * (np.log(b) - np.log(a * b + (1.0 - a) * c)) / (-np.log(a)))
 
 
 def binary_entropy(p: float) -> float:
@@ -236,39 +197,3 @@ def holevo_two_via_relative(p: float, rho, sigma) -> float:
     if p < 1.0:
         value += (1.0 - p) * relative_entropy(sigma, mix)
     return _clamp_entropy(float(value))
-
-
-def lendi_regularised(rho, sigma, c_d: float = 1.0) -> float:
-    """Identity-mixing regularisation of the relative entropy.
-
-    c_d * S((rho + I)/(1 + d) || (sigma + I)/(1 + d)) in dimension d.
-    Both arguments become faithful, so the value is always finite; it
-    scales linearly in the normalisation constant ``c_d``.
-    """
-    if c_d <= 0.0:
-        raise ValueError(f"normalisation constant must be positive, got {c_d}")
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    d = rho.shape[0]
-    eye = np.eye(d)
-    return c_d * relative_entropy((rho + eye) / (1 + d), (sigma + eye) / (1 + d))
-
-
-def collinear_smoothing_bound(rho, sigma, epsilon: float) -> tuple[float, float]:
-    """Collinear shortcut to smoothing: mix toward rho within a trace budget.
-
-    With a = epsilon / ||rho - sigma||_1 and tau = a*rho + (1-a)*sigma the
-    mixture satisfies ||tau - sigma||_1 = epsilon exactly, and the
-    returned relative entropy s = S(rho||tau) obeys s <= -log a.  Returns
-    (s, -log a).
-    """
-    norm1 = 2.0 * trace_norm_distance(rho, sigma)
-    if not 0.0 < epsilon < norm1:
-        raise ValueError(
-            f"epsilon must lie strictly between 0 and ||rho-sigma||_1 = {norm1:.6e}"
-        )
-    a = epsilon / norm1
-    tau = telescope_mix(rho, sigma, a)
-    return relative_entropy(rho, tau), float(-np.log(a))

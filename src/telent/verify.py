@@ -40,32 +40,13 @@ from .tre import (
     tre_limit_zero,
 )
 
-__all__ = [
-    "FuzzConfig",
-    "CheckStats",
-    "VerificationReport",
-    "richardson",
-    "check_range",
-    "check_upper_T",
-    "check_lower_pinsker",
-    "check_holevo",
-    "check_holevo_paths",
-    "maximality_margin",
-    "check_trre_bound",
-    "check_trre_overlap",
-    "check_joint_convexity",
-    "check_limit_closed_forms",
-    "run_fuzz",
-    "replay_witness",
-]
-
 # Overlap threshold for the strict (non-orthogonal) maximality probe and
 # the margin it must respect.
 _OVERLAP_MIN = 0.1
 _STRICT_GAP = 1e-6
 
-# a-nodes for the limit checks: the coarsest anchors the Cauchy test, the
-# two finest feed the Richardson extrapolation.  The a -> 0 side converges
+# a-nodes for the limit checks, coarsest first: the coarsest anchors the
+# Cauchy test, the two finest feed the Richardson extrapolation.  The a -> 0 side converges
 # only like 1/|log a| with curvature on the scale of sigma's smallest
 # eigenvalue, so its nodes sit very deep; the a -> 1 side converges like
 # (1-a) log(1-a) but loses precision to roundoff amplified by 1/(1-a), so
@@ -103,7 +84,11 @@ class FuzzConfig:
 
 @dataclass
 class CheckStats:
-    """Bookkeeping for one named check."""
+    """Bookkeeping for one named check.
+
+    During a sweep the witness holds its states as arrays; ``run_fuzz``
+    serialises the final witnesses once the sweep ends.
+    """
 
     name: str
     tolerance: float
@@ -266,9 +251,7 @@ def check_joint_convexity(pairs, weights, a: float, values=None) -> float:
     return avg - telescopic_relative_entropy(rho_mix, sig_mix, a)
 
 
-def check_limit_closed_forms(
-    rho, sigma, nodes_zero=LIMIT_NODES_ZERO, nodes_one=LIMIT_NODES_ONE
-) -> dict[str, float]:
+def check_limit_closed_forms(rho, sigma) -> dict[str, float]:
     """Richardson-extrapolated endpoint limits against the closed forms.
 
     The two finest log-spaced nodes extrapolate S_a to a -> 0 (linearly in
@@ -277,15 +260,11 @@ def check_limit_closed_forms(
     Returns margins keyed "limit_zero", "limit_one", "limit_cauchy" where
     the limit margins are minus the extrapolation discrepancy.
     """
-    nodes_zero = sorted(nodes_zero, reverse=True)
-    nodes_one = sorted(nodes_one, reverse=True)
-    if len(nodes_zero) < 3 or len(nodes_one) < 3:
-        raise ValueError("need at least three nodes per side")
-    v0 = [telescopic_relative_entropy(rho, sigma, a) for a in nodes_zero]
-    v1 = [telescopic_relative_entropy(rho, sigma, 1.0 - e) for e in nodes_one]
-    h0 = [-1.0 / math.log(a) for a in nodes_zero[-2:]]
+    v0 = [telescopic_relative_entropy(rho, sigma, a) for a in LIMIT_NODES_ZERO]
+    v1 = [telescopic_relative_entropy(rho, sigma, 1.0 - e) for e in LIMIT_NODES_ONE]
+    h0 = [-1.0 / math.log(a) for a in LIMIT_NODES_ZERO[-2:]]
     ex0 = richardson(h0, v0[-2:])
-    ex1 = richardson(nodes_one[-2:], v1[-2:])
+    ex1 = richardson(LIMIT_NODES_ONE[-2:], v1[-2:])
     cauchy0 = abs(v0[0] - v0[1]) - abs(v0[1] - v0[2])
     cauchy1 = abs(v1[0] - v1[1]) - abs(v1[1] - v1[2])
     return {
@@ -351,8 +330,8 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
                 "dim": dim,
                 "trial": trial_index,
                 "stratum": stratum,
-                "rho": state_to_jsonable(rho),
-                "sigma": state_to_jsonable(sigma),
+                "rho": rho,
+                "sigma": sigma,
             }
             t = trace_norm_distance(rho, sigma)
 
@@ -394,13 +373,7 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
             rho2, sigma2 = _sample_pair(dim, "faithful", rng)
             weight = float(rng.uniform(0.0, 1.0))
             a_jc = config.a_grid[trial % len(config.a_grid)]
-            wit = dict(
-                base,
-                a=a_jc,
-                weight=weight,
-                rho2=state_to_jsonable(rho2),
-                sigma2=state_to_jsonable(sigma2),
-            )
+            wit = dict(base, a=a_jc, weight=weight, rho2=rho2, sigma2=sigma2)
             checks["joint_convexity"].record(
                 check_joint_convexity(
                     [(rho, sigma), (rho2, sigma2)],
@@ -420,6 +393,11 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
 
             trial_index += 1
 
+    # trial inputs are never mutated, so a witness can hold them until now
+    for st in checks.values():
+        for key in ("rho", "sigma", "rho2", "sigma2"):
+            if st.witness is not None and key in st.witness:
+                st.witness[key] = state_to_jsonable(st.witness[key])
     passed = all(st.failures == 0 for st in checks.values())
     return VerificationReport(config=config, checks=checks, passed=passed)
 

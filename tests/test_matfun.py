@@ -11,17 +11,22 @@ from telent.matfun import (
     frechet_power_map,
     check_hermitian,
     hermitian_part,
-    matrix_function,
-    positive_part,
     spectral_decompose,
     support_basis,
     support_projector,
-    support_rank,
     trace_norm_distance,
 )
-from telent.oracle import finite_diff_frechet
-from telent.renyi import state_power
-from telent.states import haar_unitary
+from telent.oracle import finite_diff_frechet, quad_tre
+from telent.renyi import renyi_overlap, renyi_overlap_telescoped, state_power, trre
+from telent.states import is_orthogonal, telescope_mix
+from telent.tre import (
+    holevo_two,
+    holevo_two_via_relative,
+    relative_entropy,
+    telescopic_relative_entropy,
+    tre_limit_one,
+    tre_limit_zero,
+)
 
 
 class TestSpectralDecompose:
@@ -40,7 +45,7 @@ class TestSpectralDecompose:
             H = random_hermitian(rng, 4)
             dec = spectral_decompose(H)
             lam_max = max(1.0, np.abs(dec.eigenvalues).max())
-            assert np.abs(dec.reconstruct() - H).max() <= 1e-10 * lam_max
+            assert np.abs(dec.apply(dec.eigenvalues) - H).max() <= 1e-10 * lam_max
             assert np.abs(
                 dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(4)
             ).max() <= 1e-10
@@ -59,25 +64,6 @@ class TestSpectralDecompose:
                 check_hermitian(M)
 
 
-class TestMatrixFunction:
-    def test_diagonal_log(self):
-        out = matrix_function(np.diag([1.0, np.e]), np.log)
-        assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_diagonal_sqrt(self):
-        out = matrix_function(np.diag([4.0, 9.0]), np.sqrt)
-        assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_exp_log_round_trip(self, rng):
-        A = random_pd(rng, 4)
-        back = matrix_function(matrix_function(A, np.log), np.exp)
-        assert np.abs(back - A).max() <= 1e-9
-
-    def test_undefined_eigenvalue_raises(self):
-        with pytest.raises(ValueError, match="undefined"):
-            matrix_function(np.diag([0.0, 1.0]), np.log)
-
-
 class TestSupportProjector:
     def test_pure_state(self):
         assert_allclose(support_projector(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]), atol=1e-14)
@@ -88,7 +74,7 @@ class TestSupportProjector:
     def test_zero_eigenvalue_excluded(self):
         P = support_projector(np.diag([0.3, 0.0, 0.7]))
         assert_allclose(P, np.diag([1.0, 0.0, 1.0]), atol=1e-14)
-        assert support_rank(np.diag([0.3, 0.0, 0.7])) == 2
+        assert support_basis(np.diag([0.3, 0.0, 0.7])).shape[1] == 2
 
     def test_projector_properties_random(self, rng):
         for _ in range(10):
@@ -109,8 +95,8 @@ class TestSupportProjector:
 
     def test_roundoff_negatives_are_kernel(self):
         # below the rank cutoff but far above -dim * TOL_HERM * lambda_max
-        assert support_rank(np.diag([-1e-13, 1.0])) == 1
-        assert support_rank(np.diag([1e-6, 1.0])) == 2
+        assert support_basis(np.diag([-1e-13, 1.0])).shape[1] == 1
+        assert support_basis(np.diag([1e-6, 1.0])).shape[1] == 2
 
 
 class TestSpectrumMemo:
@@ -163,24 +149,6 @@ class TestSpectrumMemo:
         assert linalg_calls["eigh"] == 1
 
 
-class TestPositivePart:
-    def test_sign_split(self):
-        assert_allclose(positive_part(np.diag([1.0, -1.0])), np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_identity_on_psd(self, rng):
-        A = random_pd(rng, 3)
-        assert_allclose(positive_part(A), A, atol=1e-12)
-
-    def test_variational_characterisation(self, rng):
-        X = random_hermitian(rng, 4)
-        tr_plus = float(np.trace(positive_part(X)).real)
-        for _ in range(100):
-            k = int(rng.integers(1, 5))
-            V = haar_unitary(4, rng)[:, :k]
-            P = V @ V.conj().T
-            assert float(np.real(np.trace(X @ P))) <= tr_plus + 1e-10
-
-
 class TestTraceNormDistance:
     def test_identical(self, rng):
         A = random_pd(rng, 3)
@@ -213,12 +181,9 @@ class TestTraceNormDistance:
     def test_half_sum_abs_equals_positive_part_trace(self, rng):
         a, b = random_pd(rng, 4), random_pd(rng, 4)
         t1 = trace_norm_distance(a, b)
-        t2 = float(np.trace(positive_part(a - b)).real)
+        lam = np.linalg.eigvalsh(a - b)
+        t2 = float(np.sum(lam[lam > 0.0]))
         assert t1 == pytest.approx(t2, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            trace_norm_distance(np.eye(2) / 2, np.eye(3) / 3)
 
 
 class TestFrechetLogMap:
@@ -320,3 +285,38 @@ def test_hermitian_part_involution(rng):
     H = hermitian_part(G)
     assert np.abs(H - H.conj().T).max() <= 1e-15
     assert_allclose(hermitian_part(H), H)
+
+
+def _pair(f, *args):
+    """``f`` called as f(rho, sigma, *args)."""
+    return lambda r, s: f(r, s, *args)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(relative_entropy, id="relative_entropy"),
+        pytest.param(_pair(telescopic_relative_entropy, 0.0), id="S_a-0"),
+        pytest.param(_pair(telescopic_relative_entropy, 0.5), id="S_a-0.5"),
+        pytest.param(_pair(telescopic_relative_entropy, 1.0), id="S_a-1"),
+        pytest.param(tre_limit_zero, id="tre_limit_zero"),
+        pytest.param(tre_limit_one, id="tre_limit_one"),
+        pytest.param(lambda r, s: holevo_two(0.3, r, s), id="holevo_two"),
+        pytest.param(
+            lambda r, s: holevo_two_via_relative(0.3, r, s), id="holevo_two_via_relative"
+        ),
+        pytest.param(_pair(renyi_overlap, 0.5), id="renyi_overlap"),
+        pytest.param(_pair(renyi_overlap_telescoped, 0.5, 0.5), id="renyi_overlap_telescoped"),
+        pytest.param(_pair(trre, 0.5, 0.5), id="trre"),
+        pytest.param(_pair(telescope_mix, 0.5), id="telescope_mix"),
+        pytest.param(is_orthogonal, id="is_orthogonal"),
+        pytest.param(trace_norm_distance, id="trace_norm_distance"),
+        pytest.param(_pair(quad_tre, 0.5), id="quad_tre"),
+        pytest.param(frechet_log_map, id="frechet_log_map"),
+        pytest.param(_pair(frechet_power_map, 0.5), id="frechet_power_map"),
+    ],
+)
+def test_pair_dimension_mismatch(f):
+    # shapes are reported in argument order
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+        f(np.eye(2) / 2, np.eye(3) / 3)

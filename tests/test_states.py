@@ -94,8 +94,6 @@ class TestTelescopeMix:
         r = random_mixed_hs(2, 2, rng)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             telescope_mix(r, r, 1.5)
-        with pytest.raises(ValueError, match="mismatch"):
-            telescope_mix(r, random_mixed_hs(3, 3, rng), 0.5)
 
 
 class TestSampling:

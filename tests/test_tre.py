@@ -17,12 +17,9 @@ from telent.states import (
 )
 from telent.tre import (
     binary_entropy,
-    collinear_smoothing_bound,
     holevo_two,
     holevo_two_via_relative,
-    lendi_regularised,
     relative_entropy,
-    scalar_tre,
     telescopic_relative_entropy,
     tre_limit_one,
     tre_limit_zero,
@@ -88,10 +85,6 @@ class TestRelativeEntropy:
             sigma = random_mixed_hs(3, 3, rng)
             t = trace_norm_distance(rho, sigma)
             assert relative_entropy(rho, sigma) >= 2 * t * t - 1e-9
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
 
 
 class TestTelescopicRelativeEntropy:
@@ -240,40 +233,6 @@ class TestPureClosedForm:
             tre_pure_closed_form(0.5, 0.0)
 
 
-class TestScalarTre:
-    def test_equal_scalars(self):
-        assert scalar_tre(1.0, 1.0, 0.37) == pytest.approx(0.0, abs=1e-15)
-
-    def test_scalar_orthogonality(self):
-        assert scalar_tre(1.0, 0.0, 0.37) == pytest.approx(1.0, abs=1e-15)
-
-    def test_matches_qubit_diagonal_case(self):
-        x, a = 0.25, 0.5
-        assert scalar_tre(1.0, x, a) == pytest.approx(
-            math.log(a + (1 - a) * x) / math.log(a), abs=1e-15
-        )
-
-    @given(
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=0.01, max_value=0.99),
-    )
-    def test_range_and_zero_at_equal(self, b, c, a):
-        # For unnormalized scalars the value can go negative when c > b
-        # (the mixture outgrows b); it is nonnegative for c <= b and is
-        # always bounded above by b.
-        val = scalar_tre(b, c, a)
-        assert val <= b + 1e-12
-        if c <= b:
-            assert val >= -1e-12
-        if b == c:
-            assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            scalar_tre(-1.0, 0.5, 0.5)
-
-
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -331,56 +290,3 @@ class TestHolevo:
             hp = binary_entropy(p)
             assert chi <= hp + 1e-9
             assert chi <= hp * trace_norm_distance(rho, sigma) + 1e-9
-
-
-class TestLendiRegularised:
-    def test_identical_states(self, rng):
-        rho = random_mixed_hs(3, 1, rng)
-        assert lendi_regularised(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-    def test_finite_on_orthogonal_pure(self):
-        rho, sigma = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        assert relative_entropy(rho, sigma) == math.inf
-        val = lendi_regularised(rho, sigma)
-        assert math.isfinite(val) and val > 0
-
-    def test_linear_in_constant(self, rng):
-        rho = random_mixed_hs(2, 1, rng)
-        sigma = random_mixed_hs(2, 2, rng)
-        assert lendi_regularised(rho, sigma, 3.5) == pytest.approx(
-            3.5 * lendi_regularised(rho, sigma), rel=1e-12
-        )
-
-    def test_domain(self, rng):
-        rho = random_mixed_hs(2, 2, rng)
-        with pytest.raises(ValueError):
-            lendi_regularised(rho, rho, c_d=0.0)
-
-
-class TestCollinearSmoothing:
-    def test_trace_budget_exact(self, rng):
-        for _ in range(20):
-            rho = random_mixed_hs(3, 3, rng)
-            sigma = random_mixed_hs(3, 2, rng)
-            norm1 = 2 * trace_norm_distance(rho, sigma)
-            eps = 0.5 * norm1
-            _, bound = collinear_smoothing_bound(rho, sigma, eps)
-            a = eps / norm1
-            tau = telescope_mix(rho, sigma, a)
-            assert 2 * trace_norm_distance(tau, sigma) == pytest.approx(eps, abs=1e-10)
-            assert bound == pytest.approx(-math.log(a), abs=1e-12)
-
-    def test_entropy_below_bound(self, rng):
-        for _ in range(50):
-            d = int(rng.integers(2, 5))
-            rho = random_mixed_hs(d, int(rng.integers(1, d + 1)), rng)
-            sigma = random_mixed_hs(d, int(rng.integers(1, d + 1)), rng)
-            norm1 = 2 * trace_norm_distance(rho, sigma)
-            eps = float(rng.uniform(0.05, 0.95)) * norm1
-            s, bound = collinear_smoothing_bound(rho, sigma, eps)
-            assert s <= bound + 1e-9
-
-    def test_degenerate_pair_rejected(self, rng):
-        rho = random_mixed_hs(2, 2, rng)
-        with pytest.raises(ValueError, match="epsilon"):
-            collinear_smoothing_bound(rho, rho, 0.1)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from telent import verify
 from telent.matfun import trace_norm_distance
 from telent.renyi import trre
 from telent.states import random_mixed_hs, random_orthogonal_pair
@@ -178,9 +179,7 @@ class TestRunFuzz:
         for st in report.checks.values():
             if st.witness is None:
                 continue
-            assert replay_witness(st.witness) == pytest.approx(
-                st.witness["margin"], abs=1e-12
-            )
+            assert replay_witness(st.witness) == st.witness["margin"]
 
     def test_report_json_round_trip(self):
         report = run_fuzz(FuzzConfig(dims=(2,), trials=8, seed=4))
@@ -188,7 +187,7 @@ class TestRunFuzz:
         assert doc["passed"] is True
         assert set(doc["checks"]) == set(report.checks)
         wit = doc["checks"]["upper_T"]["witness"]
-        assert replay_witness(wit) == pytest.approx(wit["margin"], abs=1e-12)
+        assert replay_witness(wit) == wit["margin"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -222,7 +221,15 @@ class TestWorkCount:
         assert linalg_calls["eigh"] <= 12
         assert linalg_calls["eigvalsh"] <= 1
 
-    def test_fuzz_trial(self, linalg_calls):
+    def test_fuzz_trial(self, linalg_calls, monkeypatch):
+        serialised = []
+        to_json = verify.state_to_jsonable
+        monkeypatch.setattr(
+            verify, "state_to_jsonable", lambda rho: serialised.append(1) or to_json(rho)
+        )
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
-        run_fuzz(config)
+        report = run_fuzz(config)
         assert linalg_calls["eigh"] <= 30 * len(config.dims) * config.trials
+        # only each check's final witness is serialised: rho and sigma, plus
+        # the second pair of the joint convexity check
+        assert len(serialised) <= 2 * len(report.checks) + 2
