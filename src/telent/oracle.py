@@ -50,20 +50,31 @@ class QuadratureScheme:
         return int(self.nodes.shape[0])
 
 
-def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (0, 1)."""
+@lru_cache(maxsize=4)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes/weights on (-1, 1).
+
+    The rule does not depend on the measure a scheme realizes, so it is
+    built once per node count and shared by every scheme.
+    """
     x, w = leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _gl01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on (0, 1), mapped from the cached rule."""
+    x, w = _gauss_legendre(n)
     return (x + 1.0) / 2.0, w / 2.0
 
 
-@lru_cache(maxsize=16)
 def rational_scheme(n: int = DEFAULT_NODES) -> QuadratureScheme:
     """ds on (0, inf) via the rational map s = u/(1-u) of a (0,1) grid."""
     u, wu = _gl01(n)
     return QuadratureScheme(u / (1.0 - u), wu / (1.0 - u) ** 2, "rational")
 
 
-@lru_cache(maxsize=16)
 def log_scheme(n: int = DEFAULT_NODES, span: float = 25.0) -> QuadratureScheme:
     """ds via s = exp(y), y on [-span, span].
 
@@ -72,12 +83,11 @@ def log_scheme(n: int = DEFAULT_NODES, span: float = 25.0) -> QuadratureScheme:
     its full weight, which is exactly the behaviour the support-projector
     integral needs on numerically rank-deficient input.
     """
-    x, w = leggauss(n)
+    x, w = _gauss_legendre(n)
     s = np.exp(span * x)
     return QuadratureScheme(s, span * w * s, "log")
 
 
-@lru_cache(maxsize=64)
 def power_scheme(p: float, n: int = DEFAULT_NODES) -> QuadratureScheme:
     """The measure (sin(p pi)/pi) s^(p-1) ds representing x -> x^p.
 
@@ -85,7 +95,8 @@ def power_scheme(p: float, n: int = DEFAULT_NODES) -> QuadratureScheme:
     stretch absorbs the s^(p-1) endpoint singularity at 0 and the slow
     s^(p-2) tail simultaneously, keeping Gauss-Legendre convergence fast
     across the whole order range exercised here (p in roughly
-    [0.05, 0.95]).
+    [0.05, 0.95]).  Each call maps the cached Gauss-Legendre rule afresh,
+    which takes microseconds, so a new p never rebuilds the rule.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"power order p must lie in (0, 1), got {p}")
@@ -182,8 +193,9 @@ def quad_tre(rho, sigma, a: float, scheme: QuadratureScheme | None = None) -> fl
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
     s = sch.nodes
     eye = np.eye(rho_c.shape[0], dtype=complex)
-    inv_r = np.linalg.solve(rho_c[None] + s[:, None, None] * eye, rho_c[None].repeat(sch.n, axis=0))
-    inv_t = np.linalg.solve(tau_c[None] + s[:, None, None] * eye, rho_c[None].repeat(sch.n, axis=0))
+    rhs = rho_c[None].repeat(sch.n, axis=0)
+    inv_r = np.linalg.solve(rho_c[None] + s[:, None, None] * eye, rhs)
+    inv_t = np.linalg.solve(tau_c[None] + s[:, None, None] * eye, rhs)
     integrand = np.real(np.trace(inv_r - inv_t, axis1=1, axis2=2))
     return float(np.sum(sch.weights * integrand) / np.log(a))
 

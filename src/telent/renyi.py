@@ -41,9 +41,12 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
     rho, sigma = _as_pair(rho, sigma)
-    value = float(
-        np.real(np.trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
-    )
+    return _overlap(state_power(rho, 1.0 - p), sigma, p)
+
+
+def _overlap(rho_power: np.ndarray, sigma, p: float) -> float:
+    """tr rho_power sigma^p clamped at 0, where rho_power is rho^(1-p)."""
+    value = float(np.real(np.trace(rho_power @ state_power(sigma, p))))
     return max(value, 0.0)
 
 

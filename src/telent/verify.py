@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matfun import trace_norm_distance
-from .renyi import renyi_overlap_telescoped, trre
+from .renyi import _overlap, renyi_overlap_telescoped, state_power, trre
 from .states import (
     haar_random_pure,
     is_orthogonal,
@@ -358,9 +358,12 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
                 check_holevo_paths(p_h, rho, sigma, chi=chi), wit
             )
 
+            # rho^(1-p) depends only on p and each mixture only on a
+            mixes = {a: telescope_mix(rho, sigma, a) for a in config.a_grid}
             for p in config.p_grid:
+                rho_power = state_power(rho, 1.0 - p)
                 for a in config.a_grid:
-                    overlap = renyi_overlap_telescoped(rho, sigma, p, a)
+                    overlap = _overlap(rho_power, mixes[a], p)
                     q = (1.0 - overlap) / (1.0 - a**p)
                     wit = dict(base, p=p, a=a)
                     checks["trre_bound"].record(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import random_hermitian, random_pd, random_state_floor
+from telent import oracle
 from telent.matfun import (
     frechet_log_map,
     frechet_power_map,
@@ -37,7 +38,7 @@ class TestSchemes:
             assert np.all(sch.nodes > 0)
 
     def test_minimum_node_count(self):
-        with pytest.raises(ValueError, match="16"):
+        with pytest.raises(ValueError, match="at least 16 nodes"):
             rational_scheme(8)
 
     def test_kind_mismatch_rejected(self):
@@ -45,6 +46,42 @@ class TestSchemes:
             quad_log(2.0, scheme=log_scheme())
         with pytest.raises(ValueError, match="p="):
             quad_power(2.0, 0.3, scheme=power_scheme(0.7))
+
+
+class TestRuleCache:
+    """The Gauss-Legendre rule is built once per node count for every scheme."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        leggauss = oracle.leggauss
+        monkeypatch.setattr(oracle, "leggauss", lambda n: calls.append(n) or leggauss(n))
+        oracle._gauss_legendre.cache_clear()
+        yield calls
+        oracle._gauss_legendre.cache_clear()
+
+    def test_one_build_for_every_scheme(self, builds):
+        for p in (0.11, 0.29, 0.47, 0.63, 0.81):
+            power_scheme(p)
+        rational_scheme()
+        log_scheme()
+        assert builds == [501]
+
+    def test_rule_is_read_only(self):
+        for arr in oracle._gauss_legendre(501):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_cold_and_warm_rule_give_identical_schemes(self, builds):
+        def build():
+            return [rational_scheme(), log_scheme(), power_scheme(0.37)]
+
+        cold = build()
+        warm = build()
+        assert builds == [501]
+        for c, w in zip(cold, warm):
+            assert np.array_equal(c.nodes, w.nodes)
+            assert np.array_equal(c.weights, w.weights)
 
 
 class TestQuadLog:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from telent import verify
+from telent import renyi, verify
 from telent.matfun import trace_norm_distance
 from telent.renyi import trre
 from telent.states import random_mixed_hs, random_orthogonal_pair
@@ -227,9 +227,17 @@ class TestWorkCount:
         monkeypatch.setattr(
             verify, "state_to_jsonable", lambda rho: serialised.append(1) or to_json(rho)
         )
+        powers = []
+        state_power = renyi.state_power
+        for module in (renyi, verify):
+            monkeypatch.setattr(
+                module, "state_power", lambda rho, q: powers.append(q) or state_power(rho, q)
+            )
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
         report = run_fuzz(config)
         assert linalg_calls["eigh"] <= 30 * len(config.dims) * config.trials
+        # the TRRE grid takes rho^(1-p) once per p and tau_a^p once per (p, a)
+        assert len(powers) <= 18 * len(config.dims) * config.trials
         # only each check's final witness is serialised: rho and sigma, plus
         # the second pair of the joint convexity check
         assert len(serialised) <= 2 * len(report.checks) + 2
