@@ -10,10 +10,23 @@ of the change's ``BENCHMARK.json``; the tree that runs first alternates
 from pair to pair.  The last line of each run's output is its
 JSON result and its ``# env`` line is the environment.  Per end-to-end
 metric and side the file gets the median and the quartiles of the runs,
-and the number of pairs the change won.  Every run's ``correct``,
+the number of pairs the change won, and a verdict, the first of these
+that holds:
+
+* ``gain``: the change won at least 9 of 10 pairs and its median is
+  better than the parent's by more than the parent's quartile spread;
+* ``regressed``: the change's median is worse than the parent's by more
+  than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
+  parent's median);
+* ``unresolved``: the quartile spread of either side, as a fraction of
+  its median, is wider than the bound;
+* ``unchanged``.
+
+A gain is claimed only from ten or more pairs.  Every run's ``correct``,
 ``failed`` and metric values are kept too.  ``--out`` is updated in
 place: other workloads already in it are kept, so several invocations
-build one file.
+build one file.  Fewer than two seeds exit with status 2 before any run,
+since quartiles need two runs per side.
 """
 
 from __future__ import annotations
@@ -47,20 +60,36 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def summarise(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Median, quartiles and change wins per metric, from paired runs."""
+def verdict(entry: dict, pairs: int) -> str:
+    """gain, regressed, unresolved or unchanged, as the module docstring says."""
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    parent, change = entry["parent"], entry["change"]
+    improvement = sign * (change["median"] - parent["median"])
+    if entry["change_wins"] >= 0.9 * pairs and improvement > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -improvement > entry["bound"] * abs(parent["median"]):
+        return "regressed"
+    if any(side["q3"] - side["q1"] > entry["bound"] * abs(side["median"]) for side in (parent, change)):
+        return "unresolved"
+    return "unchanged"
+
+
+def summarise(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Median, quartiles, change wins and verdict per metric, from paired runs."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     out = {}
-    for name, better in directions.items():
+    for name, spec in metrics.items():
+        better = spec["better"]
         values = {side: [r["metrics"][name]["value"] for r in by_side[side]] for side in SIDES}
         wins = sum(
             (c > p) if better == "higher" else (c < p)
             for p, c in zip(values["parent"], values["change"])
         )
-        entry = {"unit": by_side["change"][0]["metrics"][name]["unit"], "better": better}
+        entry = {"unit": by_side["change"][0]["metrics"][name]["unit"], "better": better, "bound": spec["bound"]}
         entry.update({side: spread(values[side]) for side in SIDES})
         entry["ratio"] = entry["change"]["median"] / entry["parent"]["median"]
         entry["change_wins"] = wins
+        entry["verdict"] = verdict(entry, len(values["parent"]))
         out[name] = entry
     return out
 
@@ -73,9 +102,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True, help="one pair of runs per seed")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error("need at least two seeds: quartiles take two runs per side")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = []
@@ -102,7 +133,7 @@ def main(argv=None) -> int:
         "pairs": len(args.seeds),
         "first_side": "parent on even pair indices, change on odd ones",
         "env": envs,
-        "metrics": summarise(runs, directions),
+        "metrics": summarise(runs, metrics),
         "runs": [
             {
                 "seed": r["seed"],

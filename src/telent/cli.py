@@ -147,13 +147,13 @@ def figure_rows(spec: FigureSpec) -> tuple[str, list[str], list[list[float]]]:
             rho = np.diag([2.0 / 3.0, 1.0 / 3.0]).astype(complex)
             comment = "telescopic relative entropy, rho=diag(2/3,1/3), sigma=diag(x,1-x)"
         header = ["x"] + [f"Sa_a{a:g}" for a in FIG1_A_VALUES]
-        rows = []
-        for x in grid:
-            sigma = np.diag([x, 1.0 - x]).astype(complex)
-            rows.append(
-                [float(x)]
-                + [telescopic_relative_entropy(rho, sigma, a) for a in FIG1_A_VALUES]
-            )
+        sigmas = np.zeros((len(grid), 2, 2), dtype=complex)
+        sigmas[:, 0, 0] = grid
+        sigmas[:, 1, 1] = 1.0 - grid
+        values = telescopic_relative_entropy(
+            np.broadcast_to(rho, sigmas.shape), sigmas, FIG1_A_VALUES
+        )
+        rows = [[x] + row for x, row in zip(grid.tolist(), values.tolist())]
         return comment, header, rows
 
     rho = np.eye(2, dtype=complex) / 2.0
@@ -164,7 +164,8 @@ def figure_rows(spec: FigureSpec) -> tuple[str, list[str], list[list[float]]]:
         sigma = np.diag([0.2, 0.8]).astype(complex)
         comment = "telescopic relative entropy vs a, rho=I/2, sigma=diag(1/5,4/5)"
     header = ["a", "Sa"]
-    rows = [[float(a), telescopic_relative_entropy(rho, sigma, float(a))] for a in grid]
+    values = telescopic_relative_entropy(rho, sigma, grid)
+    rows = [list(row) for row in zip(grid.tolist(), values.tolist())]
     return comment, header, rows
 
 

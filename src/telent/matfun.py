@@ -35,13 +35,14 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """U diag(values) U* for per-eigenvalue scalars ``values``."""
-        return (self.eigenvectors * values) @ self.eigenvectors.conj().T
+        """U diag(values) U* for per-eigenvalue scalars ``values``.
+
+        Works on one decomposition or a stack of them, with ``values`` of
+        the eigenvalues' shape.
+        """
+        U = self.eigenvectors
+        return (U * values[..., None, :]) @ U.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(X: np.ndarray) -> np.ndarray:
@@ -93,12 +94,10 @@ def spectral_decompose(H) -> SpectralDecomposition:
 def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
     """Decompose a PSD matrix with its numerical kernel set to exact zeros.
 
-    Every eigenvalue at or below the rank cutoff dim * 2**-52 * lambda_max
-    becomes exactly 0, so ``eigenvalues > 0`` masks the support.  Returns
-    the decomposition and the cutoff.  Rejection uses the looser level
-    dim * TOL_HERM * lambda_max: inputs pass as Hermitian with entrywise
-    asymmetry up to TOL_HERM, which alone moves eigenvalues that far, and
-    eigh roundoff on a zero eigenvalue can exceed the rank cutoff.
+    ``_psd_spectra`` for one matrix: every eigenvalue at or below the rank
+    cutoff dim * 2**-52 * lambda_max becomes exactly 0, so
+    ``eigenvalues > 0`` masks the support.  Returns the decomposition and
+    the cutoff.
 
     Results are memoised on the exact bytes of the input as a complex
     array, so a matrix is decomposed once while it stays among the
@@ -118,20 +117,51 @@ def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
 def _psd_spectrum_of_bytes(
     shape: tuple[int, ...], data: bytes
 ) -> tuple[SpectralDecomposition, float]:
-    dec = spectral_decompose(np.frombuffer(data, dtype=complex).reshape(shape))
-    lam = dec.eigenvalues
-    scale = max(float(lam[-1]), 0.0)
-    bound = dec.dim * TOL_HERM * scale
-    if lam[0] < -bound:
-        raise ValueError(
-            f"matrix is not positive semidefinite: eigenvalue {lam[0]:.6e} "
-            f"below -{bound:.3e}"
-        )
-    cut = dec.dim * _EPS_RANK * scale
-    lam[lam <= cut] = 0.0
+    H = np.frombuffer(data, dtype=complex).reshape(shape)
+    stack, cut = _psd_spectra(H[None])
+    lam, U = stack.eigenvalues[0], stack.eigenvectors[0]
     lam.flags.writeable = False
-    dec.eigenvectors.flags.writeable = False
-    return dec, cut
+    U.flags.writeable = False
+    return SpectralDecomposition(lam, U), float(cut[0])
+
+
+def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
+    """PSD spectra of a stack of matrices, shape (n, r, r), in one eigh call.
+
+    Each matrix gets the validation of ``check_hermitian`` (the first
+    invalid one raises its error) and the kernel cut of ``_psd_spectrum``;
+    returns the stacked decomposition and the n cutoffs.  Rejection uses
+    the looser level dim * TOL_HERM * lambda_max: inputs pass as Hermitian
+    with entrywise asymmetry up to TOL_HERM, which alone moves eigenvalues
+    that far, and eigh roundoff on a zero eigenvalue can exceed the rank
+    cutoff.  eigh on a stack returns per matrix the bits it returns for
+    that matrix alone, so no value depends on what else is in the stack.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape[1:]}")
+    # inf - inf would warn; check_hermitian reports it instead
+    with np.errstate(invalid="ignore"):
+        hermitian = np.abs(H - H.conj().swapaxes(1, 2)) <= TOL_HERM
+    # a NaN entry fails the test, as in check_hermitian
+    if not hermitian.all():
+        for h in H:
+            check_hermitian(h)
+    lam, U = np.linalg.eigh(H)
+    dim = H.shape[1]
+    cut = []
+    for low, top in zip(lam[:, 0].tolist(), lam[:, -1].tolist()):
+        scale = max(top, 0.0)
+        bound = dim * TOL_HERM * scale
+        if low < -bound:
+            raise ValueError(
+                f"matrix is not positive semidefinite: eigenvalue {low:.6e} "
+                f"below -{bound:.3e}"
+            )
+        cut.append(dim * _EPS_RANK * scale)
+    cut = np.array(cut)
+    lam[lam <= cut[:, None]] = 0.0
+    return SpectralDecomposition(lam, U), cut
 
 
 def support_basis(A) -> np.ndarray:

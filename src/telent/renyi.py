@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _as_pair, _psd_spectrum
+from .matfun import SpectralDecomposition, _as_pair, _psd_spectra, _psd_spectrum
 from .states import telescope_mix
 
 
@@ -41,13 +41,35 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
     rho, sigma = _as_pair(rho, sigma)
-    return _overlap(state_power(rho, 1.0 - p), sigma, p)
+    product = state_power(rho, 1.0 - p) @ state_power(sigma, p)
+    return max(float(np.real(np.trace(product))), 0.0)
 
 
-def _overlap(rho_power: np.ndarray, sigma, p: float) -> float:
-    """tr rho_power sigma^p clamped at 0, where rho_power is rho^(1-p)."""
-    value = float(np.real(np.trace(rho_power @ state_power(sigma, p))))
-    return max(value, 0.0)
+def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndarray:
+    """Telescoped overlaps of a stack of pairs over a (p, a) grid.
+
+    ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
+    (N, len(p_grid), len(a_grid)) and holds, bit for bit,
+    ``renyi_overlap_telescoped(rho[n], sigma[n], p, a)``.  The N states and
+    the N * len(a_grid) mixtures are decomposed in one stacked eigh, and
+    rho^(1-p) is built once per pair and p.
+    """
+    n, d = rho.shape[:2]
+    a = np.asarray(a_grid, dtype=float)[:, None, None]
+    mixes = a * rho[:, None] + (1.0 - a) * sigma[:, None]
+    dec, _ = _psd_spectra(np.concatenate([rho, mixes.reshape(-1, d, d)]))
+    states = SpectralDecomposition(dec.eigenvalues[:n], dec.eigenvectors[:n])
+    mixtures = SpectralDecomposition(dec.eigenvalues[n:], dec.eigenvectors[n:])
+    out = np.empty((n, len(p_grid), len(a_grid)))
+    for j, p in enumerate(p_grid):
+        # Python-float exponents, as state_power uses: p = 0.5 takes sqrt
+        rho_power = states.apply(states.eigenvalues ** (1.0 - p))
+        mix_power = mixtures.apply(mixtures.eigenvalues**p)
+        product = np.repeat(rho_power, len(a_grid), axis=0) @ mix_power
+        value = np.trace(product, axis1=1, axis2=2).real
+        # max(value, 0.0) as Python's max: -0.0 and NaN pass through
+        out[:, j] = np.where(value < 0.0, 0.0, value).reshape(n, -1)
+    return out
 
 
 def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:

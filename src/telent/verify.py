@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .matfun import trace_norm_distance
-from .renyi import _overlap, renyi_overlap_telescoped, state_power, trre
+from .renyi import _overlap_grid, renyi_overlap_telescoped, trre
 from .states import (
     haar_random_pure,
     is_orthogonal,
@@ -29,7 +29,6 @@ from .states import (
     random_orthogonal_pair,
     state_from_jsonable,
     state_to_jsonable,
-    telescope_mix,
 )
 from .tre import (
     binary_entropy,
@@ -53,6 +52,8 @@ _STRICT_GAP = 1e-6
 # its nodes stay coarser.
 LIMIT_NODES_ZERO = (1e-6, 1e-9, 1e-11)
 LIMIT_NODES_ONE = (1e-5, 1e-7, 1e-9)
+# The a-values of both node sets, in that order.
+_LIMIT_A = LIMIT_NODES_ZERO + tuple(1.0 - e for e in LIMIT_NODES_ONE)
 
 # Margins below this are tallied as near-equalities (tightness cases).
 _NEAR_EQUALITY = 1e-4
@@ -202,11 +203,13 @@ def check_holevo_paths(p: float, rho, sigma, chi=None) -> float:
     return -abs(chi - holevo_two_via_relative(p, rho, sigma))
 
 
-def maximality_margin(rho, sigma, a: float, sa: float | None = None) -> float | None:
+def maximality_margin(rho, sigma, a, sa=None):
     """Margin for the maximality characterisation, or None when untested.
 
     Orthogonal pairs must sit at 1 (margin -|S_a - 1|); pairs with overlap
-    tr rho sigma >= 0.1 must stay below 1 by a strict gap.
+    tr rho sigma >= 0.1 must stay below 1 by a strict gap.  ``a`` (and
+    ``sa``, S_a at ``a``) may be an array of a-values, for an array of
+    margins from one test of the pair.
     """
     if sa is None:
         sa = telescopic_relative_entropy(rho, sigma, a)
@@ -234,10 +237,18 @@ def check_trre_overlap(rho, sigma, p: float, a: float, overlap=None) -> float:
     return min(overlap - a**p, 1.0 - overlap)
 
 
-def check_joint_convexity(pairs, weights, a: float, values=None) -> float:
+def _joint_mixture(pairs, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(sum w_i rho_i, sum w_i sigma_i)."""
+    rho_mix = sum(w * np.asarray(r, dtype=complex) for w, (r, _) in zip(weights, pairs))
+    sig_mix = sum(w * np.asarray(s, dtype=complex) for w, (_, s) in zip(weights, pairs))
+    return rho_mix, sig_mix
+
+
+def check_joint_convexity(pairs, weights, a: float, values=None, mixed=None) -> float:
     """sum_i w_i S_a(rho_i||sigma_i) - S_a(sum w_i rho_i || sum w_i sigma_i).
 
-    ``values`` optionally holds the per-pair S_a(rho_i||sigma_i).
+    ``values`` optionally holds the per-pair S_a(rho_i||sigma_i) and
+    ``mixed`` the S_a of the mixed pair.
     """
     if len(pairs) != len(weights):
         raise ValueError("need one weight per pair")
@@ -245,23 +256,26 @@ def check_joint_convexity(pairs, weights, a: float, values=None) -> float:
         values = [telescopic_relative_entropy(r, s, a) for r, s in pairs]
     elif len(values) != len(pairs):
         raise ValueError("need one value per pair")
-    rho_mix = sum(w * np.asarray(r, dtype=complex) for w, (r, _) in zip(weights, pairs))
-    sig_mix = sum(w * np.asarray(s, dtype=complex) for w, (_, s) in zip(weights, pairs))
+    if mixed is None:
+        mixed = telescopic_relative_entropy(*_joint_mixture(pairs, weights), a)
     avg = sum(w * v for w, v in zip(weights, values))
-    return avg - telescopic_relative_entropy(rho_mix, sig_mix, a)
+    return avg - mixed
 
 
-def check_limit_closed_forms(rho, sigma) -> dict[str, float]:
+def check_limit_closed_forms(rho, sigma, values=None) -> dict[str, float]:
     """Richardson-extrapolated endpoint limits against the closed forms.
 
     The two finest log-spaced nodes extrapolate S_a to a -> 0 (linearly in
     1/|log a|) and to a -> 1 (linearly in 1-a); all nodes feed a Cauchy
     test that successive differences shrink, i.e. the limits exist.
-    Returns margins keyed "limit_zero", "limit_one", "limit_cauchy" where
-    the limit margins are minus the extrapolation discrepancy.
+    ``values`` optionally holds S_a at the nodes, ``LIMIT_NODES_ZERO``
+    then 1 - ``LIMIT_NODES_ONE``.  Returns margins keyed "limit_zero",
+    "limit_one", "limit_cauchy" where the limit margins are minus the
+    extrapolation discrepancy.
     """
-    v0 = [telescopic_relative_entropy(rho, sigma, a) for a in LIMIT_NODES_ZERO]
-    v1 = [telescopic_relative_entropy(rho, sigma, 1.0 - e) for e in LIMIT_NODES_ONE]
+    if values is None:
+        values = telescopic_relative_entropy(rho, sigma, _LIMIT_A).tolist()
+    v0, v1 = values[: len(LIMIT_NODES_ZERO)], values[len(LIMIT_NODES_ZERO) :]
     h0 = [-1.0 / math.log(a) for a in LIMIT_NODES_ZERO[-2:]]
     ex0 = richardson(h0, v0[-2:])
     ex1 = richardson(LIMIT_NODES_ONE[-2:], v1[-2:])
@@ -318,39 +332,63 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     checks["limit_one"] = CheckStats("limit_one", 1e-3)
     checks["limit_cauchy"] = CheckStats("limit_cauchy", 1e-4)
 
-    trial_index = 0
-    for dim in config.dims:
+    a_grid, p_grid = config.a_grid, config.p_grid
+    n_a = len(a_grid)
+    a_jc = [a_grid[trial % n_a] for trial in range(config.trials)]
+    for d_index, dim in enumerate(config.dims):
+        # draw every trial of the dimension first; a trial's RNG gives the
+        # pair, then the second pair, then the weight
+        draws = []
         for trial in range(config.trials):
-            rng = np.random.default_rng(
-                (config.seed ^ trial_index) & ((1 << 64) - 1)
-            )
-            stratum = STRATA[trial % len(STRATA)]
-            rho, sigma = _sample_pair(dim, stratum, rng)
+            trial_index = d_index * config.trials + trial
+            rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
+            rho, sigma = _sample_pair(dim, STRATA[trial % len(STRATA)], rng)
+            rho2, sigma2 = _sample_pair(dim, "faithful", rng)
+            draws.append((rho, sigma, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
+        rhos, sigmas, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
+        jc_pairs = [[(r, s), (r2, s2)] for r, s, r2, s2 in zip(rhos, sigmas, rhos2, sigmas2)]
+        jc_weights = [(w, 1.0 - w) for w in weights]
+        mixtures = [_joint_mixture(*args) for args in zip(jc_pairs, jc_weights)]
+
+        # every S_a and overlap of the dimension in three stacked calls; the
+        # joint convexity call takes the second pairs, then the mixed pairs
+        sa = telescopic_relative_entropy(
+            np.stack(rhos), np.stack(sigmas), a_grid + _LIMIT_A
+        ).tolist()
+        overlaps = _overlap_grid(np.stack(rhos), np.stack(sigmas), p_grid, a_grid).tolist()
+        jc_sa = telescopic_relative_entropy(
+            np.stack(rhos2 + [m[0] for m in mixtures]),
+            np.stack(sigmas2 + [m[1] for m in mixtures]),
+            np.array(a_jc + a_jc)[:, None],
+        )[:, 0].tolist()
+
+        for trial in range(config.trials):
+            trial_index = d_index * config.trials + trial
+            rho, sigma = rhos[trial], sigmas[trial]
             base = {
                 "dim": dim,
                 "trial": trial_index,
-                "stratum": stratum,
+                "stratum": STRATA[trial % len(STRATA)],
                 "rho": rho,
                 "sigma": sigma,
             }
             t = trace_norm_distance(rho, sigma)
 
-            sa_by_a = {}
-            for a in config.a_grid:
-                sa = sa_by_a[a] = telescopic_relative_entropy(rho, sigma, a)
+            sa_grid = sa[trial][:n_a]
+            mmax = maximality_margin(rho, sigma, a_grid, sa=np.array(sa_grid))
+            for k, (a, s_a) in enumerate(zip(a_grid, sa_grid)):
                 wit = dict(base, a=a)
-                checks["range"].record(check_range(rho, sigma, a, sa=sa), wit)
+                checks["range"].record(check_range(rho, sigma, a, sa=s_a), wit)
                 checks["upper_T"].record(
-                    check_upper_T(rho, sigma, a, sa=sa, t=t), wit
+                    check_upper_T(rho, sigma, a, sa=s_a, t=t), wit
                 )
                 checks["lower_pinsker"].record(
-                    check_lower_pinsker(rho, sigma, a, sa=sa, t=t), wit
+                    check_lower_pinsker(rho, sigma, a, sa=s_a, t=t), wit
                 )
-                mmax = maximality_margin(rho, sigma, a, sa=sa)
                 if mmax is not None:
-                    checks["maximality"].record(mmax, wit)
+                    checks["maximality"].record(float(mmax[k]), wit)
 
-            p_h = config.p_grid[trial % len(config.p_grid)]
+            p_h = p_grid[trial % len(p_grid)]
             wit = dict(base, p=p_h)
             chi = holevo_two(p_h, rho, sigma)
             checks["holevo"].record(check_holevo(p_h, rho, sigma, chi=chi, t=t), wit)
@@ -358,12 +396,8 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
                 check_holevo_paths(p_h, rho, sigma, chi=chi), wit
             )
 
-            # rho^(1-p) depends only on p and each mixture only on a
-            mixes = {a: telescope_mix(rho, sigma, a) for a in config.a_grid}
-            for p in config.p_grid:
-                rho_power = state_power(rho, 1.0 - p)
-                for a in config.a_grid:
-                    overlap = _overlap(rho_power, mixes[a], p)
+            for p, row in zip(p_grid, overlaps[trial]):
+                for a, overlap in zip(a_grid, row):
                     q = (1.0 - overlap) / (1.0 - a**p)
                     wit = dict(base, p=p, a=a)
                     checks["trre_bound"].record(
@@ -373,28 +407,24 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
                         check_trre_overlap(rho, sigma, p, a, overlap=overlap), wit
                     )
 
-            rho2, sigma2 = _sample_pair(dim, "faithful", rng)
-            weight = float(rng.uniform(0.0, 1.0))
-            a_jc = config.a_grid[trial % len(config.a_grid)]
-            wit = dict(base, a=a_jc, weight=weight, rho2=rho2, sigma2=sigma2)
+            a = a_jc[trial]
+            wit = dict(
+                base, a=a, weight=weights[trial], rho2=rhos2[trial], sigma2=sigmas2[trial]
+            )
             checks["joint_convexity"].record(
                 check_joint_convexity(
-                    [(rho, sigma), (rho2, sigma2)],
-                    (weight, 1.0 - weight),
-                    a_jc,
-                    values=[
-                        sa_by_a[a_jc],
-                        telescopic_relative_entropy(rho2, sigma2, a_jc),
-                    ],
+                    jc_pairs[trial],
+                    jc_weights[trial],
+                    a,
+                    values=[sa[trial][a_grid.index(a)], jc_sa[trial]],
+                    mixed=jc_sa[config.trials + trial],
                 ),
                 wit,
             )
 
-            limit_margins = check_limit_closed_forms(rho, sigma)
+            limit_margins = check_limit_closed_forms(rho, sigma, values=sa[trial][n_a:])
             for name, margin in limit_margins.items():
                 checks[name].record(margin, dict(base))
-
-            trial_index += 1
 
     # trial inputs are never mutated, so a witness can hold them until now
     for st in checks.values():

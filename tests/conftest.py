@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,14 +21,18 @@ def rng():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Count np.linalg.eigh/eigvalsh calls, starting with an empty spectrum memo."""
+    """Count np.linalg.eigh/eigvalsh calls, and the matrices eigh gets in them
+    ("eigh_matrices", a stacked call counts each of its matrices), starting
+    with an empty spectrum memo."""
     from telent.matfun import _psd_spectrum_of_bytes
 
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+    calls = {"eigh": 0, "eigvalsh": 0, "eigh_matrices": 0}
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
-            return _f(*args, **kwargs)
+            if _name == "eigh":
+                calls["eigh_matrices"] += math.prod(np.shape(a)[:-2])
+            return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
     _psd_spectrum_of_bytes.cache_clear()

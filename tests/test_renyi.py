@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import random_pd
+from helpers import mixed_strata_stack, random_pd, reference_overlap
 from telent.matfun import frechet_power_map, support_projector, trace_norm_distance
-from telent.renyi import renyi_overlap, renyi_overlap_telescoped, state_power, trre
+from telent.renyi import (
+    _overlap_grid,
+    renyi_overlap,
+    renyi_overlap_telescoped,
+    state_power,
+    trre,
+)
 from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
@@ -90,6 +96,26 @@ class TestTelescopedOverlap:
             p, a = float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 0.95))
             ov = renyi_overlap_telescoped(rho, sigma, p, a)
             assert a**p - 1e-9 <= ov <= 1.0 + 1e-9
+
+
+class TestOverlapGrid:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 16, 64])
+    def test_bit_identical_to_scalar(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9)
+        grid = _overlap_grid(rho, sigma, p_grid, a_grid)
+        reference = [
+            [[reference_overlap(r, a * r + (1.0 - a) * s, p) for a in a_grid] for p in p_grid]
+            for r, s in zip(rho, sigma)
+        ]
+        scalar = [
+            [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid] for p in p_grid]
+            for r, s in zip(rho, sigma)
+        ]
+        assert grid.shape == (len(rho), len(p_grid), len(a_grid))
+        # bit for bit, the sign of zero included
+        assert grid.tobytes() == np.array(reference).tobytes()
+        assert np.array(scalar).tobytes() == np.array(reference).tobytes()
 
 
 class TestTrre:

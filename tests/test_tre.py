@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_pd
-from telent.matfun import trace_norm_distance
+from helpers import mixed_strata_stack, random_pd, reference_sa
+from telent.matfun import support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
     qubit_pair_with_angle,
@@ -162,6 +162,51 @@ class TestTelescopicRelativeEntropy:
         rho = random_mixed_hs(2, 2, rng)
         with pytest.raises(ValueError):
             telescopic_relative_entropy(rho, rho, 1.2)
+
+
+# the endpoints dispatch to the closed forms inside a stack, element by element
+STACK_A = (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 16, 64])
+    def test_bit_identical_to_scalar(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        ranks = {support_basis((r + s) / 2).shape[1] for r, s in zip(rho, sigma)}
+        assert len(ranks) >= 2
+        stacked = telescopic_relative_entropy(rho, sigma, STACK_A)
+        pairs = list(zip(rho, sigma))
+        scalar = [[telescopic_relative_entropy(r, s, a) for a in STACK_A] for r, s in pairs]
+        reference = [[reference_sa(r, s, a) for a in STACK_A] for r, s in pairs]
+        assert stacked.shape == (len(rho), len(STACK_A))
+        # bit for bit, the sign of zero included
+        assert stacked.tobytes() == np.array(reference).tobytes()
+        assert np.array(scalar).tobytes() == np.array(reference).tobytes()
+
+    def test_per_pair_rows_and_shapes(self, rng):
+        rho, sigma = mixed_strata_stack(rng, 3)
+        n = len(rho)
+        rows = rng.uniform(0.05, 0.95, size=(n, 2))
+        rows[0, 0], rows[1, 1] = 0.0, 1.0
+        values = telescopic_relative_entropy(rho, sigma, rows)
+        assert values.shape == (n, 2)
+        for i in range(n):
+            for k in range(2):
+                assert values[i, k] == telescopic_relative_entropy(rho[i], sigma[i], rows[i, k])
+        assert telescopic_relative_entropy(rho, sigma, 0.3).shape == (n,)
+        assert telescopic_relative_entropy(rho, sigma, rows[:, :1]).shape == (n, 1)
+        assert telescopic_relative_entropy(rho[0], sigma[0], STACK_A).shape == (len(STACK_A),)
+        assert type(telescopic_relative_entropy(rho[0], sigma[0], 0.3)) is float
+        assert type(telescopic_relative_entropy(rho[0], sigma[0], 1.0)) is float
+
+    def test_bad_parameters_rejected(self, rng):
+        rho, sigma = mixed_strata_stack(rng, 2)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+            telescopic_relative_entropy(rho, sigma, [0.5, 1.5])
+        with pytest.raises(ValueError, match="at most 2 axes"):
+            telescopic_relative_entropy(rho, sigma, np.full((1, 1, 2), 0.5))
+        with pytest.raises(ValueError):
+            telescopic_relative_entropy(rho, sigma, np.full((len(rho) + 1, 2), 0.5))
 
 
 class TestLimits:

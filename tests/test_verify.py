@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from telent import renyi, verify
+from telent import cli, renyi, tre, verify
+from telent.cli import FIGURE_IDS, FigureSpec, figure_rows
 from telent.matfun import trace_norm_distance
 from telent.renyi import trre
 from telent.states import random_mixed_hs, random_orthogonal_pair
@@ -230,14 +231,64 @@ class TestWorkCount:
         powers = []
         state_power = renyi.state_power
         for module in (renyi, verify):
+            # verify holds no state_power; patching it anyway counts one it gains
             monkeypatch.setattr(
-                module, "state_power", lambda rho, q: powers.append(q) or state_power(rho, q)
+                module,
+                "state_power",
+                lambda rho, q: powers.append(q) or state_power(rho, q),
+                raising=False,
             )
+        sa_calls = []
+        sa = verify.telescopic_relative_entropy
+        monkeypatch.setattr(
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: sa_calls.append(1) or sa(rho, sigma, a),
+        )
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
         report = run_fuzz(config)
-        assert linalg_calls["eigh"] <= 30 * len(config.dims) * config.trials
+        trials = len(config.dims) * config.trials
+        # eigh per trial: (rho+sigma)/2 and rho for the S_a grid; the Holevo
+        # mixture, rho, sigma and twice its compressed mixture; (rho+sigma)/2
+        # and rho of both joint convexity pairs.  The compressed S_a mixtures
+        # and the overlap grid come in a few stacked calls per dimension.
+        assert linalg_calls["eigh"] <= 12 * trials
+        assert linalg_calls["eigh_matrices"] <= 30 * trials
+        # the a-grid with the limit nodes, and both joint convexity pairs
+        assert len(sa_calls) <= 3 * len(config.dims)
         # the TRRE grid takes rho^(1-p) once per p and tau_a^p once per (p, a)
-        assert len(powers) <= 18 * len(config.dims) * config.trials
+        assert len(powers) <= 18 * trials
         # only each check's final witness is serialised: rho and sigma, plus
         # the second pair of the joint convexity check
         assert len(serialised) <= 2 * len(report.checks) + 2
+
+    @pytest.mark.parametrize("figure", FIGURE_IDS)
+    def test_figure_is_one_call(self, figure, monkeypatch):
+        calls = []
+        sa = cli.telescopic_relative_entropy
+        monkeypatch.setattr(
+            cli,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: calls.append(1) or sa(rho, sigma, a),
+        )
+        figure_rows(FigureSpec(figure, 11))
+        assert len(calls) == 1
+
+
+def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
+    """A shifted S_a under its public name must show in run_fuzz and figure_rows.
+
+    The benchmark's gate test swaps the function the same way, so neither
+    may reach S_a through a name other than telescopic_relative_entropy.
+    """
+    right = tre.telescopic_relative_entropy
+    clean = figure_rows(FigureSpec("fig2a"))[2]
+    for module in (tre, verify, cli):
+        monkeypatch.setattr(
+            module, "telescopic_relative_entropy", lambda r, s, a: right(r, s, a) + 1e-3
+        )
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert sum(st.failures for st in report.checks.values()) > 0
+    shifted = figure_rows(FigureSpec("fig2a"))[2]
+    delta = np.array(shifted)[:, 1] - np.array(clean)[:, 1]
+    assert np.allclose(delta, 1e-3, rtol=0.0, atol=1e-12)
