@@ -13,8 +13,9 @@ metric and side the file gets the median and the quartiles of the runs,
 the number of pairs the change won, and a verdict, the first of these
 that holds:
 
-* ``gain``: the change won at least 9 of 10 pairs and its median is
-  better than the parent's by more than the parent's quartile spread;
+* ``gain``: there are at least ten pairs, the change won at least 9 of
+  10 of them and its median is better than the parent's by more than
+  the parent's quartile spread;
 * ``regressed``: the change's median is worse than the parent's by more
   than the metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the
   parent's median);
@@ -22,7 +23,8 @@ that holds:
   its median, is wider than the bound;
 * ``unchanged``.
 
-A gain is claimed only from ten or more pairs.  Every run's ``correct``,
+With fewer than ten pairs a clear improvement is ``unchanged`` (or
+``unresolved``), never ``gain``.  Every run's ``correct``,
 ``failed`` and metric values are kept too.  ``--out`` is updated in
 place: other workloads already in it are kept, so several invocations
 build one file.  Fewer than two seeds exit with status 2 before any run,
@@ -39,6 +41,9 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+
+# Fewest pairs from which a gain is claimed.
+MIN_GAIN_PAIRS = 10
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,7 +70,8 @@ def verdict(entry: dict, pairs: int) -> str:
     sign = 1.0 if entry["better"] == "higher" else -1.0
     parent, change = entry["parent"], entry["change"]
     improvement = sign * (change["median"] - parent["median"])
-    if entry["change_wins"] >= 0.9 * pairs and improvement > parent["q3"] - parent["q1"]:
+    won = pairs >= MIN_GAIN_PAIRS and entry["change_wins"] >= 0.9 * pairs
+    if won and improvement > parent["q3"] - parent["q1"]:
         return "gain"
     if -improvement > entry["bound"] * abs(parent["median"]):
         return "regressed"

@@ -14,7 +14,22 @@ from __future__ import annotations
 import numpy as np
 
 from .matfun import SpectralDecomposition, _as_pair, _psd_spectra, _psd_spectrum
-from .states import telescope_mix
+
+
+def _power(dec: SpectralDecomposition, q: float) -> np.ndarray:
+    """The decomposed matrix (or stack) to the power q, 0 <= q <= 1."""
+    lam = dec.eigenvalues
+    # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
+    return dec.apply(lam**q if q > 0.0 else (lam > 0.0).astype(float))
+
+
+def _clamped_trace(product: np.ndarray):
+    """Real trace of a matrix or a stack, negatives set to 0.
+
+    As Python's max(value, 0.0) would: -0.0 and NaN pass through.
+    """
+    value = np.trace(product, axis1=-2, axis2=-1).real
+    return np.where(value < 0.0, 0.0, value)
 
 
 def state_power(rho, q: float) -> np.ndarray:
@@ -26,9 +41,7 @@ def state_power(rho, q: float) -> np.ndarray:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"exponent must lie in [0, 1], got {q}")
     dec, _ = _psd_spectrum(rho)
-    lam = dec.eigenvalues
-    # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
-    return dec.apply(lam**q if q > 0.0 else (lam > 0.0).astype(float))
+    return _power(dec, q)
 
 
 def renyi_overlap(rho, sigma, p: float) -> float:
@@ -41,35 +54,49 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
     rho, sigma = _as_pair(rho, sigma)
-    product = state_power(rho, 1.0 - p) @ state_power(sigma, p)
-    return max(float(np.real(np.trace(product))), 0.0)
+    return float(_clamped_trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
 
 
 def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndarray:
     """Telescoped overlaps of a stack of pairs over a (p, a) grid.
 
     ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
-    (N, len(p_grid), len(a_grid)) and holds, bit for bit,
-    ``renyi_overlap_telescoped(rho[n], sigma[n], p, a)``.  The N states and
-    the N * len(a_grid) mixtures are decomposed in one stacked eigh, and
-    rho^(1-p) is built once per pair and p.
+    (N, len(p_grid), len(a_grid)) and holds tr rho^(1-p) tau^p with
+    tau = a*rho + (1-a)*sigma, each element bit for bit what the one-pair
+    call computes.  For N > 1 the N states and the N * len(a_grid)
+    mixtures are decomposed in one stacked eigh; one pair, as
+    ``renyi_overlap_telescoped`` passes it, takes each matrix through the
+    spectrum memo, which a pair's repeated calls hit.  rho^(1-p) is built
+    once per pair and p.
     """
-    n, d = rho.shape[:2]
+    n, k, shape = len(rho), len(a_grid), rho.shape[1:]
     a = np.asarray(a_grid, dtype=float)[:, None, None]
     mixes = a * rho[:, None] + (1.0 - a) * sigma[:, None]
-    dec, _ = _psd_spectra(np.concatenate([rho, mixes.reshape(-1, d, d)]))
-    states = SpectralDecomposition(dec.eigenvalues[:n], dec.eigenvectors[:n])
-    mixtures = SpectralDecomposition(dec.eigenvalues[n:], dec.eigenvectors[n:])
-    out = np.empty((n, len(p_grid), len(a_grid)))
+    if n == 1:
+        states = _memo_spectra(rho)
+        mixtures = _memo_spectra(mixes[0])
+    else:
+        dec, _ = _psd_spectra(np.concatenate([rho, mixes.reshape(n * k, *shape)]))
+        states = SpectralDecomposition(dec.eigenvalues[:n], dec.eigenvectors[:n])
+        mixtures = SpectralDecomposition(dec.eigenvalues[n:], dec.eigenvectors[n:])
+    mixtures = SpectralDecomposition(
+        mixtures.eigenvalues.reshape(n, k, -1), mixtures.eigenvectors.reshape(n, k, *shape)
+    )
+    out = np.empty((n, len(p_grid), k))
     for j, p in enumerate(p_grid):
-        # Python-float exponents, as state_power uses: p = 0.5 takes sqrt
-        rho_power = states.apply(states.eigenvalues ** (1.0 - p))
-        mix_power = mixtures.apply(mixtures.eigenvalues**p)
-        product = np.repeat(rho_power, len(a_grid), axis=0) @ mix_power
-        value = np.trace(product, axis1=1, axis2=2).real
-        # max(value, 0.0) as Python's max: -0.0 and NaN pass through
-        out[:, j] = np.where(value < 0.0, 0.0, value).reshape(n, -1)
+        out[:, j] = _clamped_trace(_power(states, 1.0 - p)[:, None] @ _power(mixtures, p))
     return out
+
+
+def _memo_spectra(stack: np.ndarray) -> SpectralDecomposition:
+    """The spectra of a stack's matrices, each through the spectrum memo."""
+    if len(stack) == 1:
+        dec, _ = _psd_spectrum(stack[0])
+        return SpectralDecomposition(dec.eigenvalues[None], dec.eigenvectors[None])
+    decs = [_psd_spectrum(h)[0] for h in stack]
+    return SpectralDecomposition(
+        np.stack([dec.eigenvalues for dec in decs]), np.stack([dec.eigenvectors for dec in decs])
+    )
 
 
 def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
@@ -80,7 +107,10 @@ def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
     """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"telescoping parameter a must lie in [0, 1), got {a}")
-    return renyi_overlap(rho, telescope_mix(rho, sigma, a), p)
+    rho, sigma = _as_pair(rho, sigma)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
+    return float(_overlap_grid(rho[None], sigma[None], (p,), (a,))[0, 0, 0])
 
 
 def trre(rho, sigma, p: float, a: float) -> float:

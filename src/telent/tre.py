@@ -87,7 +87,9 @@ def telescopic_relative_entropy(rho, sigma, a):
     one-pair, scalar-``a`` call: pairs are grouped by the rank of their
     joint support and each group's compressed mixtures are decomposed in
     one stacked eigh, which returns per matrix what a single call returns
-    (the test suite checks this against a scalar reference).
+    (the test suite checks this against a scalar reference).  Those
+    mixtures are held at once, about K times the size of the input, so a
+    caller with a large stack passes it in blocks, as ``run_fuzz`` does.
 
     Always finite: the mixture dominates a*rho, so rho never leaves its
     support.  The endpoints a = 0 and a = 1 dispatch to the closed-form
@@ -112,6 +114,9 @@ def telescopic_relative_entropy(rho, sigma, a):
             f"telescoping parameters must have at most 2 axes, got shape {grid.shape}"
         )
     rho, sigma = _as_pair(rho, sigma)
+    if rho.ndim == 2 and grid.ndim == 0:
+        # one pair at one a: the same steps without the stack bookkeeping
+        return _pair_value(rho, sigma, float(grid))
     if rho.ndim == 3:
         shape = (len(rho),)
         if grid.ndim:
@@ -127,44 +132,74 @@ def telescopic_relative_entropy(rho, sigma, a):
             if 0.0 < x < 1.0:
                 interior.setdefault(i, []).append((k, x))
             else:
-                limit = tre_limit_zero if x == 0.0 else tre_limit_one
-                values[i, k] = limit(rho[i], sigma[i])
+                values[i, k] = _pair_value(rho[i], sigma[i], x)
     if interior:
         _interior_values(rho, sigma, interior, values)
     return values.reshape(shape) if shape else float(values[0, 0])
 
 
+def _compress(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both states compressed to their joint support, the support of
+    (rho+sigma)/2 (its spectrum comes from the memo)."""
+    V = support_basis((rho + sigma) / 2.0)
+    Vh = V.conj().T
+    return Vh @ rho @ V, Vh @ sigma @ V
+
+
+def _xlogx(rho) -> float:
+    """sum rho log rho from the (memoised) spectrum of rho."""
+    return _sum_xlogx(_psd_spectrum(rho)[0].eigenvalues)
+
+
+def _ratios(rho_c, sig_c, a, xlogx) -> list[float]:
+    """S_a for n compressed pairs (n, r, r) at their interior a-values (n,).
+
+    The mixtures tau_c in one stacked eigh, their eigenvalues floored at
+    the rank cutoff, tr rho_c log tau_c, and per element the clamped ratio
+    with ``xlogx``, the n values of sum rho log rho.
+    """
+    a_c = a[:, None, None]
+    dec, floor = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
+    log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor[:, None])))
+    cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
+    return [
+        _clamp_entropy(_clamp_entropy(x - c) / neg_log)
+        for x, c, neg_log in zip(xlogx, cross.tolist(), (-np.log(a)).tolist())
+    ]
+
+
+def _pair_value(rho, sigma, a: float) -> float:
+    """S_a of one pair at one a: a closed form at the endpoints."""
+    if a == 0.0:
+        return tre_limit_zero(rho, sigma)
+    if a == 1.0:
+        return tre_limit_one(rho, sigma)
+    rho_c, sig_c = _compress(rho, sigma)
+    return _ratios(rho_c[None], sig_c[None], np.array([a]), [_xlogx(rho)])[0]
+
+
 def _interior_values(rho, sigma, interior, out) -> None:
     """S_a for 0 < a < 1: ``interior`` maps a pair to its (column, a) list.
 
-    Per pair: the joint support from the (memoised) spectrum of
-    (rho+sigma)/2 and both states compressed there.  Per rank of the joint
-    support: the compressed mixtures tau_c of all its (pair, a) elements
-    in one stacked eigh, their eigenvalues floored at the rank cutoff, and
-    tr rho_c log tau_c.  Last, per pair, sum rho log rho from the
-    (memoised) spectrum of rho, and per element the clamped ratio.  Each
-    step is the one-pair sequence, so the values are too.
+    Pairs are grouped by the rank of their joint support, and each group's
+    elements go through ``_ratios`` in one call, which is the one-pair
+    sequence, so the values are too.  A group holds each compressed pair
+    once and an index per element.
     """
     groups: dict[int, list] = {}
     for i, elements in interior.items():
-        V = support_basis((rho[i] + sigma[i]) / 2.0)
-        Vh = V.conj().T
-        rho_c, sig_c = Vh @ rho[i] @ V, Vh @ sigma[i] @ V
-        members = groups.setdefault(V.shape[1], [])
-        members.extend((i, k, x, rho_c, sig_c) for k, x in elements)
-    terms = []
+        rho_c, sig_c = _compress(rho[i], sigma[i])
+        groups.setdefault(len(rho_c), []).append((i, rho_c, sig_c, elements))
     for members in groups.values():
-        pair, col, a, rho_c, sig_c = zip(*members)
-        a, rho_c, sig_c = np.array(a), np.array(rho_c), np.array(sig_c)
-        a_c = a[:, None, None]
-        dec, floor = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
-        log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor[:, None])))
-        traces = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
-        terms.append(zip(pair, col, traces.tolist(), (-np.log(a)).tolist()))
-    xlogx = {i: _sum_xlogx(_psd_spectrum(rho[i])[0].eigenvalues) for i in interior}
-    for elements in terms:
-        for i, k, cross, neg_log in elements:
-            out[i, k] = _clamp_entropy(_clamp_entropy(xlogx[i] - cross) / neg_log)
+        pairs, rho_c, sig_c, rows = zip(*members)
+        index, cols, a = zip(*[(j, k, x) for j, row in enumerate(rows) for k, x in row])
+        index = np.array(index)
+        xlogx = [_xlogx(rho[i]) for i in pairs]
+        values = _ratios(
+            np.array(rho_c)[index], np.array(sig_c)[index], np.array(a), [xlogx[j] for j in index]
+        )
+        for j, k, value in zip(index.tolist(), cols, values):
+            out[pairs[j], k] = value
 
 
 def tre_limit_zero(rho, sigma) -> float:

@@ -60,6 +60,11 @@ _NEAR_EQUALITY = 1e-4
 
 STRATA = ("faithful", "rank_deficient", "pure", "orthogonal")
 
+# Matrix entries, trials times dim**2, that ``run_fuzz`` draws and
+# evaluates as one block (64 trials at d = 4, one from d = 32 on), so its
+# memory does not grow with the trial count.
+_BLOCK_ENTRIES = 2**10
+
 
 @dataclass(frozen=True)
 class FuzzConfig:
@@ -306,6 +311,97 @@ def _sample_pair(dim: int, stratum: str, rng: np.random.Generator):
     raise ValueError(f"unknown stratum {stratum!r}")
 
 
+def _sweep_block(config: FuzzConfig, checks, d_index: int, dim: int, trials: range) -> None:
+    """Draw, evaluate and record the given trials of one dimension, in order.
+
+    Every S_a and overlap of the block comes from three stacked calls.
+    """
+    a_grid, p_grid = config.a_grid, config.p_grid
+    n_a = len(a_grid)
+    # a trial's RNG gives the pair, then the second pair, then the weight
+    draws = []
+    for trial in trials:
+        trial_index = d_index * config.trials + trial
+        rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
+        rho, sigma = _sample_pair(dim, STRATA[trial % len(STRATA)], rng)
+        rho2, sigma2 = _sample_pair(dim, "faithful", rng)
+        draws.append((rho, sigma, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
+    rhos, sigmas, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
+    jc_pairs = [[(r, s), (r2, s2)] for r, s, r2, s2 in zip(rhos, sigmas, rhos2, sigmas2)]
+    jc_weights = [(w, 1.0 - w) for w in weights]
+    mixtures = [_joint_mixture(*args) for args in zip(jc_pairs, jc_weights)]
+    a_jc = [a_grid[trial % n_a] for trial in trials]
+
+    # the joint convexity call takes the second pairs, then the mixed pairs
+    sa = telescopic_relative_entropy(
+        np.stack(rhos), np.stack(sigmas), a_grid + _LIMIT_A
+    ).tolist()
+    overlaps = _overlap_grid(np.stack(rhos), np.stack(sigmas), p_grid, a_grid).tolist()
+    jc_sa = telescopic_relative_entropy(
+        np.stack(rhos2 + [m[0] for m in mixtures]),
+        np.stack(sigmas2 + [m[1] for m in mixtures]),
+        np.array(a_jc + a_jc)[:, None],
+    )[:, 0].tolist()
+
+    for b, trial in enumerate(trials):
+        trial_index = d_index * config.trials + trial
+        rho, sigma = rhos[b], sigmas[b]
+        base = {
+            "dim": dim,
+            "trial": trial_index,
+            "stratum": STRATA[trial % len(STRATA)],
+            "rho": rho,
+            "sigma": sigma,
+        }
+        t = trace_norm_distance(rho, sigma)
+
+        sa_grid = sa[b][:n_a]
+        mmax = maximality_margin(rho, sigma, a_grid, sa=np.array(sa_grid))
+        for k, (a, s_a) in enumerate(zip(a_grid, sa_grid)):
+            wit = dict(base, a=a)
+            checks["range"].record(check_range(rho, sigma, a, sa=s_a), wit)
+            checks["upper_T"].record(check_upper_T(rho, sigma, a, sa=s_a, t=t), wit)
+            checks["lower_pinsker"].record(
+                check_lower_pinsker(rho, sigma, a, sa=s_a, t=t), wit
+            )
+            if mmax is not None:
+                checks["maximality"].record(float(mmax[k]), wit)
+
+        p_h = p_grid[trial % len(p_grid)]
+        wit = dict(base, p=p_h)
+        chi = holevo_two(p_h, rho, sigma)
+        checks["holevo"].record(check_holevo(p_h, rho, sigma, chi=chi, t=t), wit)
+        checks["holevo_paths"].record(check_holevo_paths(p_h, rho, sigma, chi=chi), wit)
+
+        for p, row in zip(p_grid, overlaps[b]):
+            for a, overlap in zip(a_grid, row):
+                q = (1.0 - overlap) / (1.0 - a**p)
+                wit = dict(base, p=p, a=a)
+                checks["trre_bound"].record(
+                    check_trre_bound(rho, sigma, p, a, q=q, t=t), wit
+                )
+                checks["trre_overlap"].record(
+                    check_trre_overlap(rho, sigma, p, a, overlap=overlap), wit
+                )
+
+        a = a_jc[b]
+        wit = dict(base, a=a, weight=weights[b], rho2=rhos2[b], sigma2=sigmas2[b])
+        checks["joint_convexity"].record(
+            check_joint_convexity(
+                jc_pairs[b],
+                jc_weights[b],
+                a,
+                values=[sa[b][a_grid.index(a)], jc_sa[b]],
+                mixed=jc_sa[len(trials) + b],
+            ),
+            wit,
+        )
+
+        limit_margins = check_limit_closed_forms(rho, sigma, values=sa[b][n_a:])
+        for name, margin in limit_margins.items():
+            checks[name].record(margin, dict(base))
+
+
 def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     """Execute every check over the configured sweep.
 
@@ -332,99 +428,11 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     checks["limit_one"] = CheckStats("limit_one", 1e-3)
     checks["limit_cauchy"] = CheckStats("limit_cauchy", 1e-4)
 
-    a_grid, p_grid = config.a_grid, config.p_grid
-    n_a = len(a_grid)
-    a_jc = [a_grid[trial % n_a] for trial in range(config.trials)]
     for d_index, dim in enumerate(config.dims):
-        # draw every trial of the dimension first; a trial's RNG gives the
-        # pair, then the second pair, then the weight
-        draws = []
-        for trial in range(config.trials):
-            trial_index = d_index * config.trials + trial
-            rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
-            rho, sigma = _sample_pair(dim, STRATA[trial % len(STRATA)], rng)
-            rho2, sigma2 = _sample_pair(dim, "faithful", rng)
-            draws.append((rho, sigma, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
-        rhos, sigmas, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
-        jc_pairs = [[(r, s), (r2, s2)] for r, s, r2, s2 in zip(rhos, sigmas, rhos2, sigmas2)]
-        jc_weights = [(w, 1.0 - w) for w in weights]
-        mixtures = [_joint_mixture(*args) for args in zip(jc_pairs, jc_weights)]
-
-        # every S_a and overlap of the dimension in three stacked calls; the
-        # joint convexity call takes the second pairs, then the mixed pairs
-        sa = telescopic_relative_entropy(
-            np.stack(rhos), np.stack(sigmas), a_grid + _LIMIT_A
-        ).tolist()
-        overlaps = _overlap_grid(np.stack(rhos), np.stack(sigmas), p_grid, a_grid).tolist()
-        jc_sa = telescopic_relative_entropy(
-            np.stack(rhos2 + [m[0] for m in mixtures]),
-            np.stack(sigmas2 + [m[1] for m in mixtures]),
-            np.array(a_jc + a_jc)[:, None],
-        )[:, 0].tolist()
-
-        for trial in range(config.trials):
-            trial_index = d_index * config.trials + trial
-            rho, sigma = rhos[trial], sigmas[trial]
-            base = {
-                "dim": dim,
-                "trial": trial_index,
-                "stratum": STRATA[trial % len(STRATA)],
-                "rho": rho,
-                "sigma": sigma,
-            }
-            t = trace_norm_distance(rho, sigma)
-
-            sa_grid = sa[trial][:n_a]
-            mmax = maximality_margin(rho, sigma, a_grid, sa=np.array(sa_grid))
-            for k, (a, s_a) in enumerate(zip(a_grid, sa_grid)):
-                wit = dict(base, a=a)
-                checks["range"].record(check_range(rho, sigma, a, sa=s_a), wit)
-                checks["upper_T"].record(
-                    check_upper_T(rho, sigma, a, sa=s_a, t=t), wit
-                )
-                checks["lower_pinsker"].record(
-                    check_lower_pinsker(rho, sigma, a, sa=s_a, t=t), wit
-                )
-                if mmax is not None:
-                    checks["maximality"].record(float(mmax[k]), wit)
-
-            p_h = p_grid[trial % len(p_grid)]
-            wit = dict(base, p=p_h)
-            chi = holevo_two(p_h, rho, sigma)
-            checks["holevo"].record(check_holevo(p_h, rho, sigma, chi=chi, t=t), wit)
-            checks["holevo_paths"].record(
-                check_holevo_paths(p_h, rho, sigma, chi=chi), wit
-            )
-
-            for p, row in zip(p_grid, overlaps[trial]):
-                for a, overlap in zip(a_grid, row):
-                    q = (1.0 - overlap) / (1.0 - a**p)
-                    wit = dict(base, p=p, a=a)
-                    checks["trre_bound"].record(
-                        check_trre_bound(rho, sigma, p, a, q=q, t=t), wit
-                    )
-                    checks["trre_overlap"].record(
-                        check_trre_overlap(rho, sigma, p, a, overlap=overlap), wit
-                    )
-
-            a = a_jc[trial]
-            wit = dict(
-                base, a=a, weight=weights[trial], rho2=rhos2[trial], sigma2=sigmas2[trial]
-            )
-            checks["joint_convexity"].record(
-                check_joint_convexity(
-                    jc_pairs[trial],
-                    jc_weights[trial],
-                    a,
-                    values=[sa[trial][a_grid.index(a)], jc_sa[trial]],
-                    mixed=jc_sa[config.trials + trial],
-                ),
-                wit,
-            )
-
-            limit_margins = check_limit_closed_forms(rho, sigma, values=sa[trial][n_a:])
-            for name, margin in limit_margins.items():
-                checks[name].record(margin, dict(base))
+        block = max(1, _BLOCK_ENTRIES // dim**2)
+        for start in range(0, config.trials, block):
+            trials = range(start, min(start + block, config.trials))
+            _sweep_block(config, checks, d_index, dim, trials)
 
     # trial inputs are never mutated, so a witness can hold them until now
     for st in checks.values():

@@ -118,6 +118,21 @@ class TestOverlapGrid:
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
 
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_endpoint_orders_keep_the_support_convention(self, p):
+        # x^0 is the support projector, not the identity, on either state
+        rho, sigma = mixed_strata_stack(np.random.default_rng(5), 3)
+        for r, s in zip(rho, sigma):
+            for a in (0.0, 0.3):
+                expected = renyi_overlap(r, telescope_mix(r, s, a), p)
+                assert renyi_overlap_telescoped(r, s, p, a) == expected
+        grid = _overlap_grid(rho, sigma, (p,), (0.0, 0.3))
+        assert grid.tolist() == [
+            [[renyi_overlap_telescoped(r, s, p, a) for a in (0.0, 0.3)]]
+            for r, s in zip(rho, sigma)
+        ]
+
+
 class TestTrre:
     def test_equal_states(self, rng):
         rho = random_mixed_hs(3, 2, rng)

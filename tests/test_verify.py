@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,42 @@ class TestRunFuzz:
             FuzzConfig(trials=0)
         with pytest.raises(ValueError):
             FuzzConfig(a_grid=(0.0, 0.5))
+
+
+class TestBlocks:
+    """run_fuzz evaluates a dimension in blocks of trials."""
+
+    def test_blocks_keep_the_report(self, monkeypatch):
+        config = FuzzConfig(dims=(2, 3), trials=10, seed=3)
+        whole = run_fuzz(config).to_json()
+        sizes = []
+        sa = verify.telescopic_relative_entropy
+        monkeypatch.setattr(
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: sizes.append(len(rho)) or sa(rho, sigma, a),
+        )
+        # 4 trials per block at d = 2 and one at d = 3
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16)
+        assert run_fuzz(config).to_json() == whole
+        # per block the pairs, then the second pairs and the mixed pairs
+        assert sizes == [4, 8, 4, 8, 2, 4] + [1, 2] * 10
+
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        # 4 trials per block at d = 4
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 64)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_fuzz(FuzzConfig(dims=(4,), trials=trials, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call allocations
+        # without blocks the peak grows about eightfold here
+        assert peak(256) < 2 * peak(32)
 
 
 class TestWorkCount:
