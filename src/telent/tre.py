@@ -20,7 +20,6 @@ from .matfun import (
     _psd_spectrum,
     spectral_decompose,
     support_basis,
-    support_projector,
 )
 from .states import telescope_mix
 
@@ -90,6 +89,9 @@ def telescopic_relative_entropy(rho, sigma, a):
     (the test suite checks this against a scalar reference).  Those
     mixtures are held at once, about K times the size of the input, so a
     caller with a large stack passes it in blocks, as ``run_fuzz`` does.
+    Only the one-pair, scalar-``a`` call reads and fills the spectrum memo
+    of ``matfun``; anything else takes every spectrum from stacked eigh
+    calls, so its work does not depend on earlier calls.
 
     Always finite: the mixture dominates a*rho, so rho never leaves its
     support.  The endpoints a = 0 and a = 1 dispatch to the closed-form
@@ -125,81 +127,98 @@ def telescopic_relative_entropy(rho, sigma, a):
     else:
         shape = grid.shape
         rho, sigma, grid = rho[None], sigma[None], grid.reshape(1, -1)
-    values = np.empty(grid.shape)
-    interior: dict[int, list[tuple[int, float]]] = {}
-    for i, row in enumerate(grid.tolist()):
-        for k, x in enumerate(row):
-            if 0.0 < x < 1.0:
-                interior.setdefault(i, []).append((k, x))
-            else:
-                values[i, k] = _pair_value(rho[i], sigma[i], x)
-    if interior:
-        _interior_values(rho, sigma, interior, values)
+    values = _stack_values(rho, sigma, grid)
     return values.reshape(shape) if shape else float(values[0, 0])
 
 
-def _compress(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Both states compressed to their joint support, the support of
-    (rho+sigma)/2 (its spectrum comes from the memo)."""
-    V = support_basis((rho + sigma) / 2.0)
+def _compress(V, rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Both states compressed to the range of the orthonormal columns V."""
     Vh = V.conj().T
     return Vh @ rho @ V, Vh @ sigma @ V
 
 
-def _xlogx(rho) -> float:
-    """sum rho log rho from the (memoised) spectrum of rho."""
-    return _sum_xlogx(_psd_spectrum(rho)[0].eigenvalues)
+def _limit(rho, V) -> float:
+    """1 - tr rho P with P = V V* the projector onto the columns of V."""
+    return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ (V @ V.conj().T)))))
 
 
-def _ratios(rho_c, sig_c, a, xlogx) -> list[float]:
-    """S_a for n compressed pairs (n, r, r) at their interior a-values (n,).
+def _cross_terms(rho_c, sig_c, a) -> tuple[list[float], list[float]]:
+    """tr rho_c log tau_c and -log a for n compressed pairs (n, r, r) at
+    their interior a-values (n,).
 
-    The mixtures tau_c in one stacked eigh, their eigenvalues floored at
-    the rank cutoff, tr rho_c log tau_c, and per element the clamped ratio
-    with ``xlogx``, the n values of sum rho log rho.
+    The mixtures tau_c are decomposed in one stacked eigh and their
+    eigenvalues floored at the rank cutoff.
     """
     a_c = a[:, None, None]
     dec, floor = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
     log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor[:, None])))
     cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
-    return [
-        _clamp_entropy(_clamp_entropy(x - c) / neg_log)
-        for x, c, neg_log in zip(xlogx, cross.tolist(), (-np.log(a)).tolist())
-    ]
+    return cross.tolist(), (-np.log(a)).tolist()
+
+
+def _ratio(xlogx: float, cross: float, neg_log: float) -> float:
+    """(sum rho log rho - tr rho_c log tau_c) / (-log a), clamped."""
+    return _clamp_entropy(_clamp_entropy(xlogx - cross) / neg_log)
 
 
 def _pair_value(rho, sigma, a: float) -> float:
-    """S_a of one pair at one a: a closed form at the endpoints."""
+    """S_a of one pair at one a, with its spectra from the memo."""
     if a == 0.0:
         return tre_limit_zero(rho, sigma)
     if a == 1.0:
         return tre_limit_one(rho, sigma)
-    rho_c, sig_c = _compress(rho, sigma)
-    return _ratios(rho_c[None], sig_c[None], np.array([a]), [_xlogx(rho)])[0]
+    rho_c, sig_c = _compress(support_basis((rho + sigma) / 2.0), rho, sigma)
+    (cross,), (neg_log,) = _cross_terms(rho_c[None], sig_c[None], np.array([a]))
+    return _ratio(_sum_xlogx(_psd_spectrum(rho)[0].eigenvalues), cross, neg_log)
 
 
-def _interior_values(rho, sigma, interior, out) -> None:
-    """S_a for 0 < a < 1: ``interior`` maps a pair to its (column, a) list.
+def _spectra_of(stack, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """(eigenvalues, eigenvectors) of the listed matrices of a stack, from
+    one stacked eigh with the kernel cut, keyed by their index."""
+    pairs = sorted(pairs)
+    if not pairs:
+        return {}
+    dec, _ = _psd_spectra(stack[pairs])
+    return dict(zip(pairs, zip(dec.eigenvalues, dec.eigenvectors)))
 
-    Pairs are grouped by the rank of their joint support, and each group's
-    elements go through ``_ratios`` in one call, which is the one-pair
-    sequence, so the values are too.  A group holds each compressed pair
-    once and an index per element.
+
+def _stack_values(rho, sigma, grid) -> np.ndarray:
+    """S_a of N pairs (N, d, d) at an (N, K) grid of a-values.
+
+    Each spectrum comes from a stacked eigh over the pairs that need it,
+    none from the memo: the supports of sigma (a = 0) and of rho (a = 1)
+    for the closed forms; for the interior, the joint supports, then per
+    rank of the joint support the compressed mixtures of all its (pair, a)
+    elements, then the spectra of rho.  Each element follows the one-pair
+    sequence, so its value is the one-pair value bit for bit.
     """
+    values = np.empty(grid.shape)
+    cells = [(i, k, x) for i, row in enumerate(grid.tolist()) for k, x in enumerate(row)]
+    for end, state, other in ((0.0, rho, sigma), (1.0, sigma, rho)):
+        ends = [(i, k) for i, k, x in cells if x == end]
+        spectra = _spectra_of(other, {i for i, _ in ends})
+        for i, k in ends:
+            lam, U = spectra[i]
+            values[i, k] = _limit(state[i], U[:, lam > 0.0])
+    interior = [(i, k, x) for i, k, x in cells if 0.0 < x < 1.0]
     groups: dict[int, list] = {}
-    for i, elements in interior.items():
-        rho_c, sig_c = _compress(rho[i], sigma[i])
-        groups.setdefault(len(rho_c), []).append((i, rho_c, sig_c, elements))
+    for i, (lam, U) in _spectra_of((rho + sigma) / 2.0, {i for i, _, _ in interior}).items():
+        V = U[:, lam > 0.0]
+        groups.setdefault(V.shape[1], []).append((i, *_compress(V, rho[i], sigma[i])))
+    terms = []
     for members in groups.values():
-        pairs, rho_c, sig_c, rows = zip(*members)
-        index, cols, a = zip(*[(j, k, x) for j, row in enumerate(rows) for k, x in row])
-        index = np.array(index)
-        xlogx = [_xlogx(rho[i]) for i in pairs]
-        values = _ratios(
-            np.array(rho_c)[index], np.array(sig_c)[index], np.array(a), [xlogx[j] for j in index]
-        )
-        for j, k, value in zip(index.tolist(), cols, values):
-            out[pairs[j], k] = value
+        index = {i: j for j, (i, _, _) in enumerate(members)}
+        elements = [(i, k, x) for i, k, x in interior if i in index]
+        take = np.array([index[i] for i, _, _ in elements])
+        _, rho_c, sig_c = zip(*members)
+        a = np.array([x for _, _, x in elements])
+        cross, neg_log = _cross_terms(np.array(rho_c)[take], np.array(sig_c)[take], a)
+        terms += zip(elements, cross, neg_log)
+    spectra = _spectra_of(rho, {i for i, _, _ in interior})
+    xlogx = {i: _sum_xlogx(lam) for i, (lam, _) in spectra.items()}
+    for (i, k, _), cross, neg_log in terms:
+        values[i, k] = _ratio(xlogx[i], cross, neg_log)
+    return values
 
 
 def tre_limit_zero(rho, sigma) -> float:
@@ -208,8 +227,7 @@ def tre_limit_zero(rho, sigma) -> float:
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
     rho, sigma = _as_pair(rho, sigma)
-    P = support_projector(sigma)
-    return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ P))))
+    return _limit(rho, support_basis(sigma))
 
 
 def tre_limit_one(rho, sigma) -> float:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import mixed_strata_stack, random_pd, reference_sa
-from telent.matfun import support_basis, trace_norm_distance
+from telent.matfun import _psd_spectrum_of_bytes, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
     qubit_pair_with_angle,
@@ -182,6 +182,14 @@ class TestStackedKernel:
         # bit for bit, the sign of zero included
         assert stacked.tobytes() == np.array(reference).tobytes()
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
+
+    def test_stack_calls_leave_the_memo_alone(self):
+        # a stack's cost must not depend on what earlier calls left behind
+        rho, sigma = mixed_strata_stack(np.random.default_rng(3), 3)
+        _psd_spectrum_of_bytes.cache_clear()
+        telescopic_relative_entropy(rho, sigma, STACK_A)
+        telescopic_relative_entropy(rho[0], sigma[0], STACK_A)
+        assert _psd_spectrum_of_bytes.cache_info().currsize == 0
 
     def test_per_pair_rows_and_shapes(self, rng):
         rho, sigma = mixed_strata_stack(rng, 3)

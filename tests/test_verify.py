@@ -285,11 +285,11 @@ class TestWorkCount:
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
         report = run_fuzz(config)
         trials = len(config.dims) * config.trials
-        # eigh per trial: (rho+sigma)/2 and rho for the S_a grid; the Holevo
-        # mixture, rho, sigma and twice its compressed mixture; (rho+sigma)/2
-        # and rho of both joint convexity pairs.  The compressed S_a mixtures
-        # and the overlap grid come in a few stacked calls per dimension.
-        assert linalg_calls["eigh"] <= 12 * trials
+        # eigh per trial: the Holevo mixture, rho and sigma, and the
+        # compressed mixture of each of its two relative entropies; the limit
+        # checks then find rho and sigma in the memo.  Every S_a and overlap
+        # spectrum comes in a few stacked calls per dimension.
+        assert linalg_calls["eigh"] <= 6 * trials
         assert linalg_calls["eigh_matrices"] <= 30 * trials
         # the a-grid with the limit nodes, and both joint convexity pairs
         assert len(sa_calls) <= 3 * len(config.dims)
@@ -310,6 +310,17 @@ class TestWorkCount:
         )
         figure_rows(FigureSpec(figure, 11))
         assert len(calls) == 1
+
+
+    def test_figure_work_does_not_depend_on_the_previous_figure(self, linalg_calls):
+        # fig2a and fig2b share rho = I/2; a memo hit would save fig2b an eigh
+        counts = set()
+        for before in FIGURE_IDS:
+            figure_rows(FigureSpec(before, 11))
+            start = linalg_calls["eigh"]
+            figure_rows(FigureSpec("fig2b", 11))
+            counts.add(linalg_calls["eigh"] - start)
+        assert len(counts) == 1
 
 
 def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
