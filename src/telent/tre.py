@@ -57,19 +57,33 @@ def relative_entropy(rho, sigma) -> float:
     support of sigma and the result is finite and nonnegative.
     """
     rho, sigma = _as_pair(rho, sigma)
+    return _relative_entropies([rho], sigma)[0]
+
+
+def _relative_entropies(states, sigma) -> list[float]:
+    """``relative_entropy`` of each complex state against one sigma.
+
+    The support of sigma, its compression and the log of that compression
+    are computed once, and only if some state stays inside the support.
+    """
     V = support_basis(sigma)
-    rho_c = V.conj().T @ rho @ V
-    leak = 1.0 - float(np.trace(rho_c).real)
-    if leak > EPS_SUPP:
-        return float("inf")
-    sig_c = V.conj().T @ sigma @ V
-    dec = spectral_decompose(sig_c)
-    log_sig = dec.apply(np.log(dec.eigenvalues))
-    rho_dec, _ = _psd_spectrum(rho)
-    value = _sum_xlogx(rho_dec.eigenvalues) - float(
-        np.real(np.trace(rho_c @ log_sig))
-    )
-    return _clamp_entropy(value)
+    Vh = V.conj().T
+    states_c = [Vh @ rho @ V for rho in states]
+    leaks = [1.0 - float(np.trace(rho_c).real) for rho_c in states_c]
+    if not all(leak > EPS_SUPP for leak in leaks):
+        dec = spectral_decompose(Vh @ sigma @ V)
+        log_sig = dec.apply(np.log(dec.eigenvalues))
+    values = []
+    for rho, rho_c, leak in zip(states, states_c, leaks):
+        if leak > EPS_SUPP:
+            values.append(float("inf"))
+            continue
+        rho_dec, _ = _psd_spectrum(rho)
+        value = _sum_xlogx(rho_dec.eigenvalues) - float(
+            np.real(np.trace(rho_c @ log_sig))
+        )
+        values.append(_clamp_entropy(value))
+    return values
 
 
 def telescopic_relative_entropy(rho, sigma, a):
@@ -299,14 +313,14 @@ def holevo_two_via_relative(p: float, rho, sigma) -> float:
     """Same quantity as weighted relative entropies against the mixture.
 
     p S(rho||mix) + (1-p) S(sigma||mix); zero-weight terms are skipped so
-    the p = 0, 1 endpoints avoid 0 * inf.
+    the p = 0, 1 endpoints avoid 0 * inf.  Both terms share one
+    decomposition of the mixture compressed to its support.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p}")
     mix = telescope_mix(rho, sigma, p)
-    value = 0.0
-    if p > 0.0:
-        value += p * relative_entropy(rho, mix)
-    if p < 1.0:
-        value += (1.0 - p) * relative_entropy(sigma, mix)
+    rho, sigma = _as_pair(rho, sigma)
+    terms = [(w, state) for w, state in ((p, rho), (1.0 - p, sigma)) if w > 0.0]
+    values = _relative_entropies([state for _, state in terms], mix)
+    value = sum(w * v for (w, _), v in zip(terms, values))
     return _clamp_entropy(float(value))

@@ -9,19 +9,21 @@ below minus the configured slack.
 
 Trials are independent and derive their RNG streams as
 ``master_seed XOR trial_index``, so reports are deterministic for a fixed
-seed and any trial can be replayed in isolation.
+seed and any trial can be replayed in isolation.  ``replay_witness``
+evaluates a serialized witness as a one-trial block of the sweep's own
+code, so its margin is the recorded one by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .matfun import trace_norm_distance
-from .renyi import _overlap_grid, renyi_overlap_telescoped, trre
+from .renyi import _overlap_grid
 from .states import (
     haar_random_pure,
     is_orthogonal,
@@ -167,57 +169,39 @@ def richardson(hs, values) -> float:
 # margin functions: each is the checked statement rewritten as margin >= 0
 # --------------------------------------------------------------------------
 
-def check_range(rho, sigma, a: float, sa: float | None = None) -> float:
+def check_range(sa: float) -> float:
     """min(S_a, 1 - S_a): the value stays inside [0, 1]."""
-    if sa is None:
-        sa = telescopic_relative_entropy(rho, sigma, a)
     return min(sa, 1.0 - sa)
 
 
-def check_upper_T(rho, sigma, a: float, sa=None, t=None) -> float:
+def check_upper_T(sa: float, t: float) -> float:
     """T - S_a: the trace norm distance dominates."""
-    if sa is None:
-        sa = telescopic_relative_entropy(rho, sigma, a)
-    if t is None:
-        t = trace_norm_distance(rho, sigma)
     return t - sa
 
 
-def check_lower_pinsker(rho, sigma, a: float, sa=None, t=None) -> float:
+def check_lower_pinsker(a: float, sa: float, t: float) -> float:
     """S_a - 2 (1-a)^2 T^2 / (-log a): the telescoped Pinsker bound."""
-    if sa is None:
-        sa = telescopic_relative_entropy(rho, sigma, a)
-    if t is None:
-        t = trace_norm_distance(rho, sigma)
     return sa - 2.0 * (1.0 - a) ** 2 * t * t / (-math.log(a))
 
 
-def check_holevo(p: float, rho, sigma, chi=None, t=None) -> float:
+def check_holevo(p: float, chi: float, t: float) -> float:
     """h(p) T - chi: the sharpened two-state ensemble bound."""
-    if chi is None:
-        chi = holevo_two(p, rho, sigma)
-    if t is None:
-        t = trace_norm_distance(rho, sigma)
     return binary_entropy(p) * t - chi
 
 
-def check_holevo_paths(p: float, rho, sigma, chi=None) -> float:
+def check_holevo_paths(chi: float, chi_relative: float) -> float:
     """-|chi via entropies - chi via relative entropies| (path equality)."""
-    if chi is None:
-        chi = holevo_two(p, rho, sigma)
-    return -abs(chi - holevo_two_via_relative(p, rho, sigma))
+    return -abs(chi - chi_relative)
 
 
-def maximality_margin(rho, sigma, a, sa=None):
+def maximality_margin(rho, sigma, sa):
     """Margin for the maximality characterisation, or None when untested.
 
     Orthogonal pairs must sit at 1 (margin -|S_a - 1|); pairs with overlap
-    tr rho sigma >= 0.1 must stay below 1 by a strict gap.  ``a`` (and
-    ``sa``, S_a at ``a``) may be an array of a-values, for an array of
-    margins from one test of the pair.
+    tr rho sigma >= 0.1 must stay below 1 by a strict gap.  ``sa`` may be
+    an array of S_a values, for an array of margins from one test of the
+    pair.
     """
-    if sa is None:
-        sa = telescopic_relative_entropy(rho, sigma, a)
     if is_orthogonal(rho, sigma):
         return -abs(sa - 1.0)
     overlap = float(np.real(np.trace(np.asarray(rho) @ np.asarray(sigma))))
@@ -226,19 +210,13 @@ def maximality_margin(rho, sigma, a, sa=None):
     return None
 
 
-def check_trre_bound(rho, sigma, p: float, a: float, q=None, t=None) -> float:
+def check_trre_bound(q: float, t: float) -> float:
     """T - Q_{p,a}: the trace norm distance dominates the TRRE."""
-    if q is None:
-        q = trre(rho, sigma, p, a)
-    if t is None:
-        t = trace_norm_distance(rho, sigma)
     return t - q
 
 
-def check_trre_overlap(rho, sigma, p: float, a: float, overlap=None) -> float:
+def check_trre_overlap(p: float, a: float, overlap: float) -> float:
     """min(overlap - a^p, 1 - overlap): the telescoped overlap range."""
-    if overlap is None:
-        overlap = renyi_overlap_telescoped(rho, sigma, p, a)
     return min(overlap - a**p, 1.0 - overlap)
 
 
@@ -249,37 +227,27 @@ def _joint_mixture(pairs, weights) -> tuple[np.ndarray, np.ndarray]:
     return rho_mix, sig_mix
 
 
-def check_joint_convexity(pairs, weights, a: float, values=None, mixed=None) -> float:
+def check_joint_convexity(weights, values, mixed: float) -> float:
     """sum_i w_i S_a(rho_i||sigma_i) - S_a(sum w_i rho_i || sum w_i sigma_i).
 
-    ``values`` optionally holds the per-pair S_a(rho_i||sigma_i) and
-    ``mixed`` the S_a of the mixed pair.
+    ``values`` holds the per-pair S_a(rho_i||sigma_i) and ``mixed`` the
+    S_a of the mixed pair.
     """
-    if len(pairs) != len(weights):
-        raise ValueError("need one weight per pair")
-    if values is None:
-        values = [telescopic_relative_entropy(r, s, a) for r, s in pairs]
-    elif len(values) != len(pairs):
-        raise ValueError("need one value per pair")
-    if mixed is None:
-        mixed = telescopic_relative_entropy(*_joint_mixture(pairs, weights), a)
     avg = sum(w * v for w, v in zip(weights, values))
     return avg - mixed
 
 
-def check_limit_closed_forms(rho, sigma, values=None) -> dict[str, float]:
+def check_limit_closed_forms(values, s0: float, s1: float) -> dict[str, float]:
     """Richardson-extrapolated endpoint limits against the closed forms.
 
     The two finest log-spaced nodes extrapolate S_a to a -> 0 (linearly in
     1/|log a|) and to a -> 1 (linearly in 1-a); all nodes feed a Cauchy
     test that successive differences shrink, i.e. the limits exist.
-    ``values`` optionally holds S_a at the nodes, ``LIMIT_NODES_ZERO``
-    then 1 - ``LIMIT_NODES_ONE``.  Returns margins keyed "limit_zero",
-    "limit_one", "limit_cauchy" where the limit margins are minus the
-    extrapolation discrepancy.
+    ``values`` holds S_a at the nodes, ``LIMIT_NODES_ZERO`` then
+    1 - ``LIMIT_NODES_ONE``, and ``s0``, ``s1`` the closed-form limits.
+    Returns margins keyed "limit_zero", "limit_one", "limit_cauchy" where
+    the limit margins are minus the extrapolation discrepancy.
     """
-    if values is None:
-        values = telescopic_relative_entropy(rho, sigma, _LIMIT_A).tolist()
     v0, v1 = values[: len(LIMIT_NODES_ZERO)], values[len(LIMIT_NODES_ZERO) :]
     h0 = [-1.0 / math.log(a) for a in LIMIT_NODES_ZERO[-2:]]
     ex0 = richardson(h0, v0[-2:])
@@ -287,8 +255,8 @@ def check_limit_closed_forms(rho, sigma, values=None) -> dict[str, float]:
     cauchy0 = abs(v0[0] - v0[1]) - abs(v0[1] - v0[2])
     cauchy1 = abs(v1[0] - v1[1]) - abs(v1[1] - v1[2])
     return {
-        "limit_zero": -abs(ex0 - tre_limit_zero(rho, sigma)),
-        "limit_one": -abs(ex1 - tre_limit_one(rho, sigma)),
+        "limit_zero": -abs(ex0 - s0),
+        "limit_one": -abs(ex1 - s1),
         "limit_cauchy": min(cauchy0, cauchy1),
     }
 
@@ -311,105 +279,94 @@ def _sample_pair(dim: int, stratum: str, rng: np.random.Generator):
     raise ValueError(f"unknown stratum {stratum!r}")
 
 
-def _sweep_block(config: FuzzConfig, checks, d_index: int, dim: int, trials: range) -> None:
-    """Draw, evaluate and record the given trials of one dimension, in order.
+def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> list[tuple]:
+    """Draw the given trials of one dimension, in order.
 
-    Every S_a and overlap of the block comes from three stacked calls.
+    A trial's RNG gives the pair, then the second pair, then the weight.
+    Each draw is (trial, witness base, rho2, sigma2, weight), the base
+    naming the trial and holding its pair.
     """
-    a_grid, p_grid = config.a_grid, config.p_grid
-    n_a = len(a_grid)
-    # a trial's RNG gives the pair, then the second pair, then the weight
     draws = []
     for trial in trials:
         trial_index = d_index * config.trials + trial
+        stratum = STRATA[trial % len(STRATA)]
         rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
-        rho, sigma = _sample_pair(dim, STRATA[trial % len(STRATA)], rng)
+        rho, sigma = _sample_pair(dim, stratum, rng)
+        base = {"dim": dim, "trial": trial_index, "stratum": stratum, "rho": rho, "sigma": sigma}
         rho2, sigma2 = _sample_pair(dim, "faithful", rng)
-        draws.append((rho, sigma, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
-    rhos, sigmas, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
-    jc_pairs = [[(r, s), (r2, s2)] for r, s, r2, s2 in zip(rhos, sigmas, rhos2, sigmas2)]
+        draws.append((trial, base, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
+    return draws
+
+
+def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
+    """Evaluate drawn trials and record every check, in trial order.
+
+    Every S_a and overlap of the block comes from three stacked calls.  A
+    trial's joint convexity a and Holevo p are picked from the grids by
+    its index within its dimension.
+    """
+    n_a = len(a_grid)
+    trials, bases, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
+    rhos = [base["rho"] for base in bases]
+    sigmas = [base["sigma"] for base in bases]
     jc_weights = [(w, 1.0 - w) for w in weights]
-    mixtures = [_joint_mixture(*args) for args in zip(jc_pairs, jc_weights)]
+    mixtures = [
+        _joint_mixture([(r, s), (r2, s2)], w)
+        for r, s, r2, s2, w in zip(rhos, sigmas, rhos2, sigmas2, jc_weights)
+    ]
     a_jc = [a_grid[trial % n_a] for trial in trials]
 
     # the joint convexity call takes the second pairs, then the mixed pairs
-    sa = telescopic_relative_entropy(
-        np.stack(rhos), np.stack(sigmas), a_grid + _LIMIT_A
-    ).tolist()
-    overlaps = _overlap_grid(np.stack(rhos), np.stack(sigmas), p_grid, a_grid).tolist()
+    pairs = np.stack(rhos), np.stack(sigmas)
+    sa = telescopic_relative_entropy(*pairs, a_grid + _LIMIT_A).tolist()
+    overlaps = _overlap_grid(*pairs, p_grid, a_grid).tolist()
     jc_sa = telescopic_relative_entropy(
         np.stack(rhos2 + [m[0] for m in mixtures]),
         np.stack(sigmas2 + [m[1] for m in mixtures]),
         np.array(a_jc + a_jc)[:, None],
     )[:, 0].tolist()
 
-    for b, trial in enumerate(trials):
-        trial_index = d_index * config.trials + trial
-        rho, sigma = rhos[b], sigmas[b]
-        base = {
-            "dim": dim,
-            "trial": trial_index,
-            "stratum": STRATA[trial % len(STRATA)],
-            "rho": rho,
-            "sigma": sigma,
-        }
+    for b, (trial, base) in enumerate(zip(trials, bases)):
+        rho, sigma = base["rho"], base["sigma"]
         t = trace_norm_distance(rho, sigma)
 
         sa_grid = sa[b][:n_a]
-        mmax = maximality_margin(rho, sigma, a_grid, sa=np.array(sa_grid))
+        mmax = maximality_margin(rho, sigma, np.array(sa_grid))
         for k, (a, s_a) in enumerate(zip(a_grid, sa_grid)):
             wit = dict(base, a=a)
-            checks["range"].record(check_range(rho, sigma, a, sa=s_a), wit)
-            checks["upper_T"].record(check_upper_T(rho, sigma, a, sa=s_a, t=t), wit)
-            checks["lower_pinsker"].record(
-                check_lower_pinsker(rho, sigma, a, sa=s_a, t=t), wit
-            )
+            checks["range"].record(check_range(s_a), wit)
+            checks["upper_T"].record(check_upper_T(s_a, t), wit)
+            checks["lower_pinsker"].record(check_lower_pinsker(a, s_a, t), wit)
             if mmax is not None:
                 checks["maximality"].record(float(mmax[k]), wit)
 
         p_h = p_grid[trial % len(p_grid)]
         wit = dict(base, p=p_h)
         chi = holevo_two(p_h, rho, sigma)
-        checks["holevo"].record(check_holevo(p_h, rho, sigma, chi=chi, t=t), wit)
-        checks["holevo_paths"].record(check_holevo_paths(p_h, rho, sigma, chi=chi), wit)
+        checks["holevo"].record(check_holevo(p_h, chi, t), wit)
+        chi_relative = holevo_two_via_relative(p_h, rho, sigma)
+        checks["holevo_paths"].record(check_holevo_paths(chi, chi_relative), wit)
 
         for p, row in zip(p_grid, overlaps[b]):
             for a, overlap in zip(a_grid, row):
                 q = (1.0 - overlap) / (1.0 - a**p)
                 wit = dict(base, p=p, a=a)
-                checks["trre_bound"].record(
-                    check_trre_bound(rho, sigma, p, a, q=q, t=t), wit
-                )
-                checks["trre_overlap"].record(
-                    check_trre_overlap(rho, sigma, p, a, overlap=overlap), wit
-                )
+                checks["trre_bound"].record(check_trre_bound(q, t), wit)
+                checks["trre_overlap"].record(check_trre_overlap(p, a, overlap), wit)
 
         a = a_jc[b]
         wit = dict(base, a=a, weight=weights[b], rho2=rhos2[b], sigma2=sigmas2[b])
-        checks["joint_convexity"].record(
-            check_joint_convexity(
-                jc_pairs[b],
-                jc_weights[b],
-                a,
-                values=[sa[b][a_grid.index(a)], jc_sa[b]],
-                mixed=jc_sa[len(trials) + b],
-            ),
-            wit,
-        )
+        values = [sa[b][a_grid.index(a)], jc_sa[b]]
+        margin = check_joint_convexity(jc_weights[b], values, jc_sa[len(draws) + b])
+        checks["joint_convexity"].record(margin, wit)
 
-        limit_margins = check_limit_closed_forms(rho, sigma, values=sa[b][n_a:])
-        for name, margin in limit_margins.items():
+        s0, s1 = tre_limit_zero(rho, sigma), tre_limit_one(rho, sigma)
+        for name, margin in check_limit_closed_forms(sa[b][n_a:], s0, s1).items():
             checks[name].record(margin, dict(base))
 
 
-def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
-    """Execute every check over the configured sweep.
-
-    Check failures are recorded in the report, never raised.  Reports for
-    identical configs are identical; trial RNGs derive from
-    seed XOR trial_index, so any worst-case witness can be regenerated.
-    """
-    slack = config.slack
+def _fresh_checks(slack: float) -> dict[str, CheckStats]:
+    """Empty statistics for every check; the limit checks have fixed tolerances."""
     checks = {
         name: CheckStats(name, slack)
         for name in (
@@ -427,12 +384,23 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     checks["limit_zero"] = CheckStats("limit_zero", 1e-3)
     checks["limit_one"] = CheckStats("limit_one", 1e-3)
     checks["limit_cauchy"] = CheckStats("limit_cauchy", 1e-4)
+    return checks
 
+
+def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
+    """Execute every check over the configured sweep.
+
+    Check failures are recorded in the report, never raised.  Reports for
+    identical configs are identical; trial RNGs derive from
+    seed XOR trial_index, so any worst-case witness can be regenerated.
+    """
+    checks = _fresh_checks(config.slack)
     for d_index, dim in enumerate(config.dims):
         block = max(1, _BLOCK_ENTRIES // dim**2)
         for start in range(0, config.trials, block):
             trials = range(start, min(start + block, config.trials))
-            _sweep_block(config, checks, d_index, dim, trials)
+            draws = _draw_block(config, d_index, dim, trials)
+            _record_block(config.a_grid, config.p_grid, checks, draws)
 
     # trial inputs are never mutated, so a witness can hold them until now
     for st in checks.values():
@@ -444,38 +412,30 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
 
 
 def replay_witness(witness: dict) -> float:
-    """Recompute a recorded witness's margin from its serialized inputs."""
+    """Recompute a recorded witness's margin from its serialized inputs.
+
+    The witness runs as a one-trial block through the sweep's own
+    evaluation, with its a and p as the grids, so the replayed margin is
+    the recorded one.  A check that reads no a or no p gets 1/2 there, and
+    a witness without a second pair lends its own pair to the joint
+    convexity check, which alone reads it.
+    """
+    # a one-trial sweep of the witness's a and p, which it validates
+    config = FuzzConfig(
+        trials=1, a_grid=(witness.get("a", 0.5),), p_grid=(witness.get("p", 0.5),)
+    )
+    checks = _fresh_checks(config.slack)
     name = witness["check"]
+    if name not in checks:
+        raise ValueError(f"unknown check {name!r}")
     rho = state_from_jsonable(witness["rho"])
     sigma = state_from_jsonable(witness["sigma"])
-    a = witness.get("a")
-    p = witness.get("p")
-    if name == "range":
-        return check_range(rho, sigma, a)
-    if name == "upper_T":
-        return check_upper_T(rho, sigma, a)
-    if name == "lower_pinsker":
-        return check_lower_pinsker(rho, sigma, a)
-    if name == "holevo":
-        return check_holevo(p, rho, sigma)
-    if name == "holevo_paths":
-        return check_holevo_paths(p, rho, sigma)
-    if name == "maximality":
-        margin = maximality_margin(rho, sigma, a)
-        if margin is None:
-            raise ValueError("witness pair does not exercise the maximality check")
-        return margin
-    if name == "trre_bound":
-        return check_trre_bound(rho, sigma, p, a)
-    if name == "trre_overlap":
-        return check_trre_overlap(rho, sigma, p, a)
-    if name == "joint_convexity":
-        rho2 = state_from_jsonable(witness["rho2"])
-        sigma2 = state_from_jsonable(witness["sigma2"])
-        w = witness["weight"]
-        return check_joint_convexity(
-            [(rho, sigma), (rho2, sigma2)], (w, 1.0 - w), a
-        )
-    if name in ("limit_zero", "limit_one", "limit_cauchy"):
-        return check_limit_closed_forms(rho, sigma)[name]
-    raise ValueError(f"unknown check {name!r}")
+    if "rho2" in witness:
+        second = [state_from_jsonable(witness[key]) for key in ("rho2", "sigma2")]
+    else:
+        second = [rho, sigma]
+    draw = (0, {"rho": rho, "sigma": sigma}, *second, witness.get("weight", 0.5))
+    _record_block(config.a_grid, config.p_grid, checks, [draw])
+    if checks[name].trials == 0:
+        raise ValueError(f"witness pair does not exercise the {name} check")
+    return checks[name].worst_margin

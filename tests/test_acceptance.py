@@ -43,10 +43,17 @@ from telent.tre import (
     tre_limit_zero,
     tre_pure_closed_form,
 )
-from telent.verify import check_limit_closed_forms, richardson
+from telent.verify import (
+    LIMIT_NODES_ONE,
+    LIMIT_NODES_ZERO,
+    check_limit_closed_forms,
+    richardson,
+)
 
 SEED = 20260810
 STRATA = ("faithful", "rank_deficient", "pure", "orthogonal")
+# the a-nodes whose S_a the limit checks extrapolate
+LIMIT_A = LIMIT_NODES_ZERO + tuple(1.0 - e for e in LIMIT_NODES_ONE)
 
 
 def _report(num, desc, ok, detail=""):
@@ -97,7 +104,10 @@ def test_criterion_01_closed_form_limits():
     for dim in (2, 3, 4, 6):
         for trial in range(500):
             rho, sigma = _sample_pair(dim, STRATA[trial % 4], rng)
-            margins = check_limit_closed_forms(rho, sigma)
+            values = telescopic_relative_entropy(rho, sigma, LIMIT_A).tolist()
+            margins = check_limit_closed_forms(
+                values, tre_limit_zero(rho, sigma), tre_limit_one(rho, sigma)
+            )
             worst = max(worst, -margins["limit_zero"], -margins["limit_one"])
     _report(
         1,

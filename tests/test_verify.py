@@ -8,10 +8,11 @@ import pytest
 from telent import cli, renyi, tre, verify
 from telent.cli import FIGURE_IDS, FigureSpec, figure_rows
 from telent.matfun import trace_norm_distance
-from telent.renyi import trre
-from telent.states import random_mixed_hs, random_orthogonal_pair
+from telent.renyi import renyi_overlap_telescoped, trre
+from telent.states import random_mixed_hs, random_orthogonal_pair, state_to_jsonable
 from telent.tre import (
     holevo_two,
+    holevo_two_via_relative,
     telescopic_relative_entropy,
     tre_limit_one,
     tre_limit_zero,
@@ -25,6 +26,7 @@ from telent.verify import (
     check_lower_pinsker,
     check_range,
     check_trre_bound,
+    check_trre_overlap,
     check_upper_T,
     maximality_margin,
     replay_witness,
@@ -48,104 +50,149 @@ class TestRichardson:
             richardson([0.1], [1.0])
 
 
+def _witness(check, rho, sigma, **params):
+    """A hand-made witness of ``check`` on the pair, as ``replay_witness`` reads it."""
+    for key in ("rho2", "sigma2"):
+        if key in params:
+            params[key] = state_to_jsonable(params[key])
+    rho, sigma = state_to_jsonable(rho), state_to_jsonable(sigma)
+    return dict(params, check=check, rho=rho, sigma=sigma)
+
+
+def _replay(check, rho, sigma, **params):
+    return replay_witness(_witness(check, rho, sigma, **params))
+
+
 class TestCheckMargins:
     def test_range_edges(self, rng):
+        assert check_range(0.25) == 0.25 and check_range(0.75) == 0.25
         rho = random_mixed_hs(3, 3, rng)
-        assert check_range(rho, rho, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert _replay("range", rho, rho, a=0.5) == pytest.approx(0.0, abs=1e-12)
         r, s = random_orthogonal_pair(3, rng)
-        assert check_range(r, s, 0.5) == pytest.approx(0.0, abs=1e-10)
+        assert _replay("range", r, s, a=0.5) == pytest.approx(0.0, abs=1e-10)
         sigma = random_mixed_hs(3, 3, rng)
-        assert check_range(rho, sigma, 0.5) > 0.0
+        assert _replay("range", rho, sigma, a=0.5) > 0.0
 
     def test_upper_T_equality_family(self):
         t = 0.4
         rho = np.diag([t, 0.0, 1.0 - t])
         sigma = np.diag([0.0, t, 1.0 - t])
-        assert check_upper_T(rho, sigma, 0.5) == pytest.approx(0.0, abs=1e-9)
-        assert check_upper_T(rho, rho, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert _replay("upper_T", rho, sigma, a=0.5) == pytest.approx(0.0, abs=1e-9)
+        assert _replay("upper_T", rho, rho, a=0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_upper_T_random(self, rng):
         for _ in range(20):
             rho = random_mixed_hs(3, int(rng.integers(1, 4)), rng)
             sigma = random_mixed_hs(3, int(rng.integers(1, 4)), rng)
-            assert check_upper_T(rho, sigma, float(rng.uniform(0.05, 0.95))) >= -1e-9
+            a = float(rng.uniform(0.05, 0.95))
+            assert _replay("upper_T", rho, sigma, a=a) >= -1e-9
 
     def test_pinsker_trivial_and_random(self, rng):
+        assert check_lower_pinsker(0.5, 0.0, 0.0) == 0.0
         rho = random_mixed_hs(3, 3, rng)
-        assert check_lower_pinsker(rho, rho, 0.3) == pytest.approx(0.0, abs=1e-12)
+        assert _replay("lower_pinsker", rho, rho, a=0.3) == pytest.approx(0.0, abs=1e-12)
         for _ in range(20):
             sigma = random_mixed_hs(3, int(rng.integers(1, 4)), rng)
-            assert check_lower_pinsker(rho, sigma, float(rng.uniform(0.05, 0.95))) >= -1e-9
+            a = float(rng.uniform(0.05, 0.95))
+            assert _replay("lower_pinsker", rho, sigma, a=a) >= -1e-9
 
     def test_holevo_endpoints_and_orthogonal(self, rng):
         rho = random_mixed_hs(2, 1, rng)
         sigma = random_mixed_hs(2, 1, rng)
-        assert check_holevo(0.0, rho, sigma) == pytest.approx(0.0, abs=1e-12)
-        assert check_holevo(1.0, rho, sigma) == pytest.approx(0.0, abs=1e-12)
+        t = trace_norm_distance(rho, sigma)
+        # p = 0 and 1 lie outside the sweep's p-grid, so take the formula
+        for p in (0.0, 1.0):
+            assert check_holevo(p, holevo_two(p, rho, sigma), t) == pytest.approx(0.0, abs=1e-12)
         r, s = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        assert check_holevo(0.5, r, s) == pytest.approx(0.0, abs=1e-12)
+        assert _replay("holevo", r, s, p=0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximality(self, rng):
+        assert maximality_margin(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.75) == -0.25
         r, s = random_orthogonal_pair(3, rng)
-        assert maximality_margin(r, s, 0.5) == pytest.approx(0.0, abs=1e-10)
+        assert _replay("maximality", r, s, a=0.5) == pytest.approx(0.0, abs=1e-10)
         rho = random_mixed_hs(2, 2, rng)
         sigma = random_mixed_hs(2, 2, rng)
         if np.real(np.trace(rho @ sigma)) >= 0.1:
-            assert maximality_margin(rho, sigma, 0.5) > 0.0
-        assert maximality_margin(rho, rho, 0.5) > 0.0
+            assert _replay("maximality", rho, sigma, a=0.5) > 0.0
+        assert _replay("maximality", rho, rho, a=0.5) > 0.0
 
     def test_trre_bound_edges(self, rng):
         rho = random_mixed_hs(3, 3, rng)
-        assert check_trre_bound(rho, rho, 0.5, 0.5) == pytest.approx(0.0, abs=1e-10)
+        assert _replay("trre_bound", rho, rho, p=0.5, a=0.5) == pytest.approx(0.0, abs=1e-10)
         r, s = random_orthogonal_pair(3, rng)
-        assert check_trre_bound(r, s, 0.5, 0.5) == pytest.approx(0.0, abs=1e-10)
+        assert _replay("trre_bound", r, s, p=0.5, a=0.5) == pytest.approx(0.0, abs=1e-10)
 
     def test_joint_convexity_trivial_cases(self, rng):
         rho = random_mixed_hs(3, 3, rng)
         sigma = random_mixed_hs(3, 3, rng)
-        pair = (rho, sigma)
-        assert check_joint_convexity([pair, pair], (0.5, 0.5), 0.4) == pytest.approx(
-            0.0, abs=1e-10
-        )
-        pair2 = (random_mixed_hs(3, 3, rng), random_mixed_hs(3, 3, rng))
-        assert check_joint_convexity([pair, pair2], (1.0, 0.0), 0.4) == pytest.approx(
-            0.0, abs=1e-10
-        )
-        assert check_joint_convexity([pair, pair2], (0.3, 0.7), 0.4) >= -1e-9
+        rho2, sigma2 = random_mixed_hs(3, 3, rng), random_mixed_hs(3, 3, rng)
 
-    def test_precomputed_values_match(self, rng):
+        def margin(second, weight):
+            return _replay(
+                "joint_convexity", rho, sigma, a=0.4, weight=weight,
+                rho2=second[0], sigma2=second[1],
+            )
+
+        assert margin((rho, sigma), 0.5) == pytest.approx(0.0, abs=1e-10)
+        assert margin((rho2, sigma2), 1.0) == pytest.approx(0.0, abs=1e-10)
+        assert margin((rho2, sigma2), 0.3) >= -1e-9
+
+    def test_replay_is_the_formula_of_public_values(self, rng):
         rho, sigma = random_mixed_hs(3, 3, rng), random_mixed_hs(3, 2, rng)
-        chi = holevo_two(0.3, rho, sigma)
-        assert check_holevo_paths(0.3, rho, sigma, chi=chi) == check_holevo_paths(
-            0.3, rho, sigma
+        rho2, sigma2 = random_mixed_hs(3, 3, rng), random_mixed_hs(3, 3, rng)
+        a, p, w = 0.25, 0.75, 0.4
+        sa = telescopic_relative_entropy(rho, sigma, a)
+        t = trace_norm_distance(rho, sigma)
+        chi = holevo_two(p, rho, sigma)
+        q = trre(rho, sigma, p, a)
+        pairs = [(rho, sigma), (rho2, sigma2)]
+        values = [telescopic_relative_entropy(r, s, a) for r, s in pairs]
+        mixed = telescopic_relative_entropy(
+            w * rho + (1 - w) * rho2, w * sigma + (1 - w) * sigma2, a
         )
-        pairs = [(rho, sigma), (random_mixed_hs(3, 3, rng), random_mixed_hs(3, 3, rng))]
-        values = [telescopic_relative_entropy(r, s, 0.25) for r, s in pairs]
-        assert check_joint_convexity(
-            pairs, (0.4, 0.6), 0.25, values=values
-        ) == check_joint_convexity(pairs, (0.4, 0.6), 0.25)
-        with pytest.raises(ValueError, match="one value per pair"):
-            check_joint_convexity(pairs, (0.4, 0.6), 0.25, values=values[:1])
+        expected = {
+            "range": check_range(sa),
+            "upper_T": check_upper_T(sa, t),
+            "lower_pinsker": check_lower_pinsker(a, sa, t),
+            "holevo": check_holevo(p, chi, t),
+            "holevo_paths": check_holevo_paths(chi, holevo_two_via_relative(p, rho, sigma)),
+            "trre_bound": check_trre_bound(q, t),
+            "trre_overlap": check_trre_overlap(p, a, renyi_overlap_telescoped(rho, sigma, p, a)),
+            "joint_convexity": check_joint_convexity((w, 1 - w), values, mixed),
+        }
+        for check, margin in expected.items():
+            wit = _witness(check, rho, sigma, a=a, p=p, weight=w, rho2=rho2, sigma2=sigma2)
+            assert replay_witness(wit) == margin, check
+
+    def test_replay_errors(self):
+        rho, sigma = np.diag([0.95, 0.05]), np.diag([0.05, 0.95])
+        with pytest.raises(ValueError, match="unknown check 'sharpness'"):
+            _replay("sharpness", rho, sigma, a=0.5)
+        # overlap 0.095: neither orthogonal nor above the 0.1 probe threshold
+        with pytest.raises(ValueError, match="does not exercise the maximality check"):
+            _replay("maximality", rho, sigma, a=0.5)
+        # the sweep's p-grid excludes the endpoints, where Q_{p,a} is 0/0
+        with pytest.raises(ValueError, match="p-grid values must lie in"):
+            _replay("holevo", rho, sigma, p=0.0)
 
     def test_limit_margins(self, rng):
         rho = random_mixed_hs(2, 1, rng)
         sigma = np.diag([0.2, 0.8]).astype(complex)
-        margins = check_limit_closed_forms(rho, sigma)
-        assert margins["limit_zero"] >= -1e-3
-        assert margins["limit_one"] >= -1e-3
-        assert margins["limit_cauchy"] >= -1e-4
+        assert _replay("limit_zero", rho, sigma) >= -1e-3
+        assert _replay("limit_one", rho, sigma) >= -1e-3
+        assert _replay("limit_cauchy", rho, sigma) >= -1e-4
 
     def test_limit_margins_pure_pair(self, rng):
         from telent.states import qubit_pair_with_angle
-        from telent.tre import tre_limit_one, tre_limit_zero
 
         r, s = qubit_pair_with_angle(1.1)
         t2 = np.sin(0.55) ** 2
         assert tre_limit_zero(r, s) == pytest.approx(t2, abs=1e-12)
         assert tre_limit_one(r, s) == pytest.approx(t2, abs=1e-12)
-        margins = check_limit_closed_forms(r, s)
-        assert margins["limit_zero"] >= -1e-3
-        assert margins["limit_one"] >= -1e-3
+        values = [0.5] * 3 + [0.25] * 3
+        assert check_limit_closed_forms(values, t2, t2)["limit_cauchy"] == 0.0
+        assert _replay("limit_zero", r, s) >= -1e-3
+        assert _replay("limit_one", r, s) >= -1e-3
 
 
 class TestRunFuzz:
@@ -286,11 +333,12 @@ class TestWorkCount:
         report = run_fuzz(config)
         trials = len(config.dims) * config.trials
         # eigh per trial: the Holevo mixture, rho and sigma, and the
-        # compressed mixture of each of its two relative entropies; the limit
-        # checks then find rho and sigma in the memo.  Every S_a and overlap
-        # spectrum comes in a few stacked calls per dimension.
-        assert linalg_calls["eigh"] <= 6 * trials
-        assert linalg_calls["eigh_matrices"] <= 30 * trials
+        # mixture compressed to its support, which both relative entropies
+        # share; the limit checks then find rho and sigma in the memo.
+        # Every S_a and overlap spectrum comes in a few stacked calls per
+        # dimension.
+        assert linalg_calls["eigh"] <= 5 * trials
+        assert linalg_calls["eigh_matrices"] <= 29 * trials
         # the a-grid with the limit nodes, and both joint convexity pairs
         assert len(sa_calls) <= 3 * len(config.dims)
         # the TRRE grid takes rho^(1-p) once per p and tau_a^p once per (p, a)
@@ -321,6 +369,15 @@ class TestWorkCount:
             figure_rows(FigureSpec("fig2b", 11))
             counts.add(linalg_calls["eigh"] - start)
         assert len(counts) == 1
+
+
+def test_wrong_holevo_reaches_the_sweep(monkeypatch):
+    """A shifted Holevo quantity under its public name must fail run_fuzz."""
+    right = tre.holevo_two
+    for module in (tre, verify):
+        monkeypatch.setattr(module, "holevo_two", lambda p, r, s: right(p, r, s) + 1e-3)
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert report.checks["holevo"].failures + report.checks["holevo_paths"].failures > 0
 
 
 def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
