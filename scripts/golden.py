@@ -9,7 +9,9 @@ and writes, per run, its stdout to ``NAME.out``, its stderr to
 
 * ``telent verify`` for a set of sizes, seeds and slacks, among them a
   forced failure (negative slack) and a known ``limit_zero`` failure;
-* ``telent figure FIG --points 1001`` for every figure;
+* ``telent figure FIG --points N`` for every figure at N = 1001, 2 and 3:
+  at 2 the fig2a/fig2b grid has endpoints only, and fig1a has joint
+  supports of ranks 1 and 2 in one call;
 * ``telent compute`` for seeded pairs at d = 2, 3, 4, 6, one per sampling
   stratum (the orthogonal pair has an infinite relative entropy), at
   a in {0, 1e-11, 0.3, 0.5, 1 - 1e-9, 1}, each with and without
@@ -47,6 +49,8 @@ VERIFY_RUNS = {
     "verify_trials100_seed3_slack-1": ["--trials", "100", "--seed", "3", "--slack", "-1"],
     "verify_trials16_seed1423786839": ["--trials", "16", "--seed", "1423786839"],
 }
+
+FIGURE_SMALL_POINTS = (2, 3)
 
 COMPUTE_DIMS = (2, 3, 4, 6)
 COMPUTE_A = (0.0, 1e-11, 0.3, 0.5, 1.0 - 1e-9, 1.0)
@@ -112,6 +116,8 @@ def main(argv: list[str]) -> int:
         run(name, ["verify", *args], codes)
     for fig in FIGURE_IDS:
         run(f"figure_{fig}", ["figure", fig, "--points", "1001"], codes)
+        for points in FIGURE_SMALL_POINTS:
+            run(f"figure_{fig}_points{points}", ["figure", fig, "--points", str(points)], codes)
 
     rng = np.random.default_rng(20261018)
     for dim in COMPUTE_DIMS:

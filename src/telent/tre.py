@@ -31,10 +31,11 @@ EPS_SUPP = 1e-10
 _NEG_CLAMP = 1e-10
 
 
-def _clamp_entropy(value: float) -> float:
-    if -_NEG_CLAMP <= value < 0.0:
-        return 0.0
-    return value
+def _clamp_entropy(value):
+    """0.0 for values in [-_NEG_CLAMP, 0); elementwise on an array."""
+    if isinstance(value, float):
+        return 0.0 if -_NEG_CLAMP <= value < 0.0 else value
+    return np.where((-_NEG_CLAMP <= value) & (value < 0.0), 0.0, value)
 
 
 def _sum_xlogx(lam: np.ndarray) -> float:
@@ -146,8 +147,9 @@ def telescopic_relative_entropy(rho, sigma, a):
 
 
 def _compress(V, rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Both states compressed to the range of the orthonormal columns V."""
-    Vh = V.conj().T
+    """Both states compressed to the range of the orthonormal columns V;
+    one pair or a stack of them."""
+    Vh = V.conj().swapaxes(-1, -2)
     return Vh @ rho @ V, Vh @ sigma @ V
 
 
@@ -156,7 +158,7 @@ def _limit(rho, V) -> float:
     return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ (V @ V.conj().T)))))
 
 
-def _cross_terms(rho_c, sig_c, a) -> tuple[list[float], list[float]]:
+def _cross_terms(rho_c, sig_c, a) -> tuple[np.ndarray, np.ndarray]:
     """tr rho_c log tau_c and -log a for n compressed pairs (n, r, r) at
     their interior a-values (n,).
 
@@ -166,11 +168,10 @@ def _cross_terms(rho_c, sig_c, a) -> tuple[list[float], list[float]]:
     a_c = a[:, None, None]
     dec, floor = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
     log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor[:, None])))
-    cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
-    return cross.tolist(), (-np.log(a)).tolist()
+    return np.trace(rho_c @ log_tau, axis1=1, axis2=2).real, -np.log(a)
 
 
-def _ratio(xlogx: float, cross: float, neg_log: float) -> float:
+def _ratio(xlogx, cross, neg_log):
     """(sum rho log rho - tr rho_c log tau_c) / (-log a), clamped."""
     return _clamp_entropy(_clamp_entropy(xlogx - cross) / neg_log)
 
@@ -183,55 +184,49 @@ def _pair_value(rho, sigma, a: float) -> float:
         return tre_limit_one(rho, sigma)
     rho_c, sig_c = _compress(support_basis((rho + sigma) / 2.0), rho, sigma)
     (cross,), (neg_log,) = _cross_terms(rho_c[None], sig_c[None], np.array([a]))
-    return _ratio(_sum_xlogx(_psd_spectrum(rho)[0].eigenvalues), cross, neg_log)
-
-
-def _spectra_of(stack, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """(eigenvalues, eigenvectors) of the listed matrices of a stack, from
-    one stacked eigh with the kernel cut, keyed by their index."""
-    pairs = sorted(pairs)
-    if not pairs:
-        return {}
-    dec, _ = _psd_spectra(stack[pairs])
-    return dict(zip(pairs, zip(dec.eigenvalues, dec.eigenvectors)))
+    return float(_ratio(_sum_xlogx(_psd_spectrum(rho)[0].eigenvalues), cross, neg_log))
 
 
 def _stack_values(rho, sigma, grid) -> np.ndarray:
     """S_a of N pairs (N, d, d) at an (N, K) grid of a-values.
 
-    Each spectrum comes from a stacked eigh over the pairs that need it,
-    none from the memo: the supports of sigma (a = 0) and of rho (a = 1)
-    for the closed forms; for the interior, the joint supports, then per
-    rank of the joint support the compressed mixtures of all its (pair, a)
-    elements, then the spectra of rho.  Each element follows the one-pair
-    sequence, so its value is the one-pair value bit for bit.
+    Every spectrum comes from a stacked eigh, none from the memo, in this
+    order: sigma of the rows with an a = 0 cell and rho of the rows with
+    an a = 1 cell (one closed form per row); the joint supports of the
+    rows with an interior cell; per joint-support rank, in order of first
+    appearance, the compressed mixtures of the group's interior cells in
+    row-major order; then rho.  The order decides which invalid matrix
+    raises first.  Each element follows the one-pair sequence, so its
+    value is the one-pair value bit for bit.
     """
     values = np.empty(grid.shape)
-    cells = [(i, k, x) for i, row in enumerate(grid.tolist()) for k, x in enumerate(row)]
     for end, state, other in ((0.0, rho, sigma), (1.0, sigma, rho)):
-        ends = [(i, k) for i, k, x in cells if x == end]
-        spectra = _spectra_of(other, {i for i, _ in ends})
-        for i, k in ends:
-            lam, U = spectra[i]
-            values[i, k] = _limit(state[i], U[:, lam > 0.0])
-    interior = [(i, k, x) for i, k, x in cells if 0.0 < x < 1.0]
-    groups: dict[int, list] = {}
-    for i, (lam, U) in _spectra_of((rho + sigma) / 2.0, {i for i, _, _ in interior}).items():
-        V = U[:, lam > 0.0]
-        groups.setdefault(V.shape[1], []).append((i, *_compress(V, rho[i], sigma[i])))
-    terms = []
-    for members in groups.values():
-        index = {i: j for j, (i, _, _) in enumerate(members)}
-        elements = [(i, k, x) for i, k, x in interior if i in index]
-        take = np.array([index[i] for i, _, _ in elements])
-        _, rho_c, sig_c = zip(*members)
-        a = np.array([x for _, _, x in elements])
-        cross, neg_log = _cross_terms(np.array(rho_c)[take], np.array(sig_c)[take], a)
-        terms += zip(elements, cross, neg_log)
-    spectra = _spectra_of(rho, {i for i, _, _ in interior})
-    xlogx = {i: _sum_xlogx(lam) for i, (lam, _) in spectra.items()}
-    for (i, k, _), cross, neg_log in terms:
-        values[i, k] = _ratio(xlogx[i], cross, neg_log)
+        rows = np.flatnonzero((grid == end).any(axis=1))
+        if rows.size:
+            dec, _ = _psd_spectra(other[rows])
+            for i, lam, U in zip(rows, dec.eigenvalues, dec.eigenvectors):
+                values[i, grid[i] == end] = _limit(state[i], U[:, lam > 0.0])
+    interior = (grid > 0.0) & (grid < 1.0)
+    rows = np.flatnonzero(interior.any(axis=1))
+    if not rows.size:
+        return values
+    dec, _ = _psd_spectra((rho[rows] + sigma[rows]) / 2.0)
+    ranks = np.count_nonzero(dec.eigenvalues > 0.0, axis=1)
+    cross, neg_log = np.empty((2, *grid.shape))
+    for rank in dict.fromkeys(ranks.tolist()):
+        group = ranks == rank
+        pairs = rows[group]
+        # eigenvalues ascend, so the support is the last columns; contiguous
+        # like support_basis, as BLAS may round a strided operand differently
+        V = np.ascontiguousarray(dec.eigenvectors[group][..., rho.shape[-1] - rank :])
+        rho_c, sig_c = _compress(V, rho[pairs], sigma[pairs])
+        j, k = np.nonzero(interior[pairs])
+        i = pairs[j]
+        cross[i, k], neg_log[i, k] = _cross_terms(rho_c[j], sig_c[j], grid[i, k])
+    xlogx = np.empty(len(rho))
+    xlogx[rows] = [_sum_xlogx(lam) for lam in _psd_spectra(rho[rows])[0].eigenvalues]
+    i, k = np.nonzero(interior)
+    values[i, k] = _ratio(xlogx[i], cross[i, k], neg_log[i, k])
     return values
 
 

@@ -168,6 +168,30 @@ class TestTelescopicRelativeEntropy:
 STACK_A = (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
 
 
+# A stack's eigh calls run in a fixed order: sigma of the a = 0 rows, rho of
+# the a = 1 rows, the joint supports, the compressed mixtures per rank, then
+# rho.  The first invalid matrix in that order names the error: a stack whose
+# third rho is bad raises, at each a of ORDER_A, the message listed for it.
+ORDER_A = (0.5, 1.0, [0.25, 0.75], [1.0, 0.5], [[0.3], [0.0], [0.6]])
+_NOT_PSD = "matrix is not positive semidefinite: eigenvalue "
+_JOINT, _RHO_AT_ONE = "-5.000000e-02 below -2.100e-10", "-6.000000e-01 below -3.200e-10"
+_RHO, _MIXTURE = "-2.000000e-01 below -2.400e-10", "-2.500000e-02 below -2.050e-10"
+_NOT_HERMITIAN = "matrix is not Hermitian: entries (0,1) and (1,0) differ by "
+_HALF_ASYM, _ASYM = "5.000e-02 (tolerance 1.0e-10)", "1.000e-01 (tolerance 1.0e-10)"
+STACK_ERRORS = [
+    # the joint support is not PSD; at a = 1 alone rho comes first
+    (np.diag([1.6, -0.6]), _NOT_PSD, [_JOINT, _RHO_AT_ONE, _JOINT, _RHO_AT_ONE, _JOINT]),
+    # the joint support is PSD, rho is not, and neither is the a = 0.75 mixture
+    (np.diag([1.2, -0.2]), _NOT_PSD, [_RHO, _RHO, _MIXTURE, _RHO, _RHO]),
+    # the joint support halves the asymmetry of rho
+    (
+        np.array([[0.5, 0.1], [0.0, 0.5]]),
+        _NOT_HERMITIAN,
+        [_HALF_ASYM, _ASYM, _HALF_ASYM, _ASYM, _HALF_ASYM],
+    ),
+]
+
+
 class TestStackedKernel:
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 16, 64])
     def test_bit_identical_to_scalar(self, dim):
@@ -215,6 +239,41 @@ class TestStackedKernel:
             telescopic_relative_entropy(rho, sigma, np.full((1, 1, 2), 0.5))
         with pytest.raises(ValueError):
             telescopic_relative_entropy(rho, sigma, np.full((len(rho) + 1, 2), 0.5))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grids_without_interior_cells(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        rho, sigma = rho[2:], sigma[2:]
+        rows = np.array([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+        cases = [
+            (rho, sigma, rows),
+            (rho[:1], sigma[:1], np.array([[0.0, 1.0]])),
+            (rho, sigma, np.ones((len(rho), 1))),
+        ]
+        for r, s, grid in cases:
+            stacked = telescopic_relative_entropy(r, s, grid)
+            one_pair = telescopic_relative_entropy(r[0], s[0], grid[0])
+            scalar = [[telescopic_relative_entropy(*p, a) for a in g] for *p, g in zip(r, s, grid)]
+            reference = [[reference_sa(*p, a) for a in g] for *p, g in zip(r, s, grid)]
+            assert stacked.tobytes() == np.array(reference).tobytes()
+            assert np.array(scalar).tobytes() == np.array(reference).tobytes()
+            assert one_pair.tobytes() == np.array(reference[0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad_rho, a, message",
+        [
+            (bad_rho, a, prefix + detail)
+            for bad_rho, prefix, details in STACK_ERRORS
+            for a, detail in zip(ORDER_A, details)
+        ],
+    )
+    def test_validation_order(self, bad_rho, a, message):
+        half = np.eye(2) / 2
+        rho = np.stack([np.diag([1.0, 0.0]), half, bad_rho])
+        sigma = np.stack([half] * 3)
+        with pytest.raises(ValueError) as excinfo:
+            telescopic_relative_entropy(rho, sigma, a)
+        assert str(excinfo.value) == message
 
 
 class TestLimits:

@@ -359,6 +359,17 @@ class TestWorkCount:
         figure_rows(FigureSpec(figure, 11))
         assert len(calls) == 1
 
+    # at 101 points fig1a's joint supports have ranks 2 and 1 (two mixture
+    # calls of 600 and 6), fig1b's rank 2 only; fig2a/fig2b decompose sigma
+    # (a = 0), rho (a = 1), the joint support, 99 mixtures and rho
+    @pytest.mark.parametrize(
+        "figure, calls, matrices",
+        [("fig1a", 4, 808), ("fig1b", 3, 808), ("fig2a", 5, 103), ("fig2b", 5, 103)],
+    )
+    def test_figure_work(self, figure, calls, matrices, linalg_calls):
+        figure_rows(FigureSpec(figure, 101))
+        assert linalg_calls["eigh"] <= calls
+        assert linalg_calls["eigh_matrices"] <= matrices
 
     def test_figure_work_does_not_depend_on_the_previous_figure(self, linalg_calls):
         # fig2a and fig2b share rho = I/2; a memo hit would save fig2b an eigh
