@@ -8,7 +8,9 @@ and writes, per run, its stdout to ``NAME.out``, its stderr to
 ``NAME.err`` and its exit code to ``exit_codes.txt``:
 
 * ``telent verify`` for a set of sizes, seeds and slacks, among them a
-  forced failure (negative slack) and a known ``limit_zero`` failure;
+  forced failure (negative slack), a known ``limit_zero`` failure and a
+  known ``limit_one`` failure, where roundoff gives a rank-one ``rho`` a
+  second eigenvalue just above the rank cutoff;
 * ``telent figure FIG --points N`` for every figure at N = 1001, 2 and 3:
   at 2 the fig2a/fig2b grid has endpoints only, and fig1a has joint
   supports of ranks 1 and 2 in one call;
@@ -48,6 +50,7 @@ VERIFY_RUNS = {
     "verify_d6_8_12_trials60_seed3": ["--dims", "6,8,12", "--trials", "60", "--seed", "3"],
     "verify_trials100_seed3_slack-1": ["--trials", "100", "--seed", "3", "--slack", "-1"],
     "verify_trials16_seed1423786839": ["--trials", "16", "--seed", "1423786839"],
+    "verify_trials16_seed2451294897": ["--trials", "16", "--seed", "2451294897"],
 }
 
 FIGURE_SMALL_POINTS = (2, 3)

@@ -30,11 +30,10 @@ import numpy as np
 
 from .matfun import _EPS_RANK, trace_norm_distance
 from .renyi import trre
-from .states import EPS_ORTH, state_from_jsonable, state_to_jsonable
+from .states import EPS_ORTH, state_from_jsonable, state_to_jsonable, telescope_mix
 from .tre import (
     EPS_SUPP,
     relative_entropy,
-    telescope_mix,
     telescopic_relative_entropy,
     tre_limit_one,
     tre_limit_zero,

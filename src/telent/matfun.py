@@ -8,6 +8,8 @@ Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -26,6 +28,12 @@ _DD_NEAR = 1e-8
 
 # Number of distinct matrices whose PSD spectra ``_psd_spectrum`` keeps.
 _SPECTRUM_CACHE_SIZE = 8
+
+# The stacked spectra kept by ``_psd_spectra`` while a ``_block_spectra``
+# scope is open, keyed on (shape, bytes) of the whole stack; None outside.
+_BLOCK_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_BLOCK_STORE", default=None
+)
 
 
 @dataclass(frozen=True)
@@ -125,17 +133,30 @@ def _psd_spectrum_of_bytes(
     return SpectralDecomposition(lam, U), float(cut[0])
 
 
-def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
-    """PSD spectra of a stack of matrices, shape (n, r, r), in one eigh call.
+@contextlib.contextmanager
+def _block_spectra():
+    """Scope in which ``_psd_spectra`` decomposes each distinct stack once.
 
-    Each matrix gets the validation of ``check_hermitian`` (the first
-    invalid one raises its error) and the kernel cut of ``_psd_spectrum``;
-    returns the stacked decomposition and the n cutoffs.  Rejection uses
-    the looser level dim * TOL_HERM * lambda_max: inputs pass as Hermitian
-    with entrywise asymmetry up to TOL_HERM, which alone moves eigenvalues
-    that far, and eigh roundoff on a zero eigenvalue can exceed the rank
-    cutoff.  eigh on a stack returns per matrix the bits it returns for
-    that matrix alone, so no value depends on what else is in the stack.
+    Inside it, a stack whose shape and bytes equal those of a stack already
+    decomposed in the scope gets the stored result back, so the quantities
+    of one block of pairs share the spectra of rho, sigma and their
+    mixtures.  Only stacks that passed validation are stored, and their
+    arrays are read-only.  The store is dropped when the scope exits, also
+    by an exception; outside a scope nothing is stored, so the work of a
+    stacked call never depends on earlier calls.
+    """
+    token = _BLOCK_STORE.set({})
+    try:
+        yield
+    finally:
+        _BLOCK_STORE.reset(token)
+
+
+def _hermitian_stack(H) -> np.ndarray:
+    """A stack of matrices (n, r, r) as a complex array, each validated.
+
+    Each matrix gets the test of ``check_hermitian``, and the first invalid
+    one raises its error.
     """
     H = np.asarray(H, dtype=complex)
     if H.ndim != 3 or H.shape[1] != H.shape[2]:
@@ -147,7 +168,39 @@ def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
     if not hermitian.all():
         for h in H:
             check_hermitian(h)
-    lam, U = np.linalg.eigh(H)
+    return H
+
+
+def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
+    """PSD spectra of a stack of matrices, shape (n, r, r), in one eigh call.
+
+    Each matrix gets the validation of ``check_hermitian`` (the first
+    invalid one raises its error) and the kernel cut of ``_psd_spectrum``;
+    returns the stacked decomposition and the n cutoffs.  Rejection uses
+    the looser level dim * TOL_HERM * lambda_max: inputs pass as Hermitian
+    with entrywise asymmetry up to TOL_HERM, which alone moves eigenvalues
+    that far, and eigh roundoff on a zero eigenvalue can exceed the rank
+    cutoff.  eigh on a stack returns per matrix the bits it returns for
+    that matrix alone, so no value depends on what else is in the stack.
+    Inside a ``_block_spectra`` scope the result of each distinct stack is
+    stored, read-only, and returned again for an equal stack.
+    """
+    H = np.asarray(H, dtype=complex)
+    store = _BLOCK_STORE.get()
+    if store is None:
+        return _decompose_stack(H)
+    key = (H.shape, H.tobytes())
+    if key not in store:
+        dec, cut = _decompose_stack(H)
+        for array in (dec.eigenvalues, dec.eigenvectors, cut):
+            array.flags.writeable = False
+        store[key] = dec, cut
+    return store[key]
+
+
+def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
+    """``_psd_spectra`` without the store."""
+    lam, U = np.linalg.eigh(_hermitian_stack(H))
     dim = H.shape[1]
     cut = []
     for low, top in zip(lam[:, 0].tolist(), lam[:, -1].tolist()):
@@ -162,6 +215,17 @@ def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
     cut = np.array(cut)
     lam[lam <= cut[:, None]] = 0.0
     return SpectralDecomposition(lam, U), cut
+
+
+def _memo_spectra(stack: np.ndarray) -> SpectralDecomposition:
+    """The spectra of a stack's matrices, each through the spectrum memo."""
+    if len(stack) == 1:
+        dec, _ = _psd_spectrum(stack[0])
+        return SpectralDecomposition(dec.eigenvalues[None], dec.eigenvectors[None])
+    decs = [_psd_spectrum(h)[0] for h in stack]
+    return SpectralDecomposition(
+        np.stack([dec.eigenvalues for dec in decs]), np.stack([dec.eigenvectors for dec in decs])
+    )
 
 
 def support_basis(A) -> np.ndarray:
@@ -179,15 +243,26 @@ def support_projector(A) -> np.ndarray:
     return V @ V.conj().T
 
 
-def trace_norm_distance(rho, sigma) -> float:
+def trace_norm_distance(rho, sigma):
     """Half the trace norm of rho - sigma.
+
+    Shapes: ``rho`` and ``sigma`` share one shape, (d, d) for one pair,
+    which returns a Python float, or (N, d, d) for a stack of N pairs,
+    which returns an (N,) float array.  A stack's differences go to one
+    stacked eigvalsh, which returns per matrix the bits of a single call,
+    so every element is the one-pair value.  The differences are not kept
+    in the block store of ``_block_spectra``: no other quantity decomposes
+    them.
 
     For density-matrix inputs this equals the sum of positive eigenvalues
     of the difference and lies in [0, 1].
     """
     rho, sigma = _as_pair(rho, sigma)
-    lam = np.linalg.eigvalsh(check_hermitian(rho - sigma))
-    return 0.5 * float(np.sum(np.abs(lam)))
+    diff = rho - sigma
+    one = diff.ndim != 3
+    lam = np.linalg.eigvalsh(_hermitian_stack(diff[None] if one else diff))
+    t = 0.5 * np.sum(np.abs(lam), axis=1)
+    return float(t[0]) if one else t
 
 
 def _positive_spectrum(A) -> SpectralDecomposition:

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import SpectralDecomposition, _as_pair, _psd_spectra, _psd_spectrum
+from .matfun import (
+    SpectralDecomposition,
+    _as_pair,
+    _memo_spectra,
+    _psd_spectra,
+    _psd_spectrum,
+)
 
 
 def _power(dec: SpectralDecomposition, q: float) -> np.ndarray:
@@ -63,8 +69,9 @@ def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndar
     ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
     (N, len(p_grid), len(a_grid)) and holds tr rho^(1-p) tau^p with
     tau = a*rho + (1-a)*sigma, each element bit for bit what the one-pair
-    call computes.  For N > 1 the N states and the N * len(a_grid)
-    mixtures are decomposed in one stacked eigh; one pair, as
+    call computes.  For N > 1 the N states are decomposed in one stacked
+    eigh, which a sweep block takes from its store, and the
+    N * len(a_grid) mixtures in another; one pair, as
     ``renyi_overlap_telescoped`` passes it, takes each matrix through the
     spectrum memo, which a pair's repeated calls hit.  rho^(1-p) is built
     once per pair and p.
@@ -76,9 +83,8 @@ def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndar
         states = _memo_spectra(rho)
         mixtures = _memo_spectra(mixes[0])
     else:
-        dec, _ = _psd_spectra(np.concatenate([rho, mixes.reshape(n * k, *shape)]))
-        states = SpectralDecomposition(dec.eigenvalues[:n], dec.eigenvectors[:n])
-        mixtures = SpectralDecomposition(dec.eigenvalues[n:], dec.eigenvectors[n:])
+        states, _ = _psd_spectra(rho)
+        mixtures, _ = _psd_spectra(mixes.reshape(n * k, *shape))
     mixtures = SpectralDecomposition(
         mixtures.eigenvalues.reshape(n, k, -1), mixtures.eigenvectors.reshape(n, k, *shape)
     )
@@ -86,17 +92,6 @@ def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndar
     for j, p in enumerate(p_grid):
         out[:, j] = _clamped_trace(_power(states, 1.0 - p)[:, None] @ _power(mixtures, p))
     return out
-
-
-def _memo_spectra(stack: np.ndarray) -> SpectralDecomposition:
-    """The spectra of a stack's matrices, each through the spectrum memo."""
-    if len(stack) == 1:
-        dec, _ = _psd_spectrum(stack[0])
-        return SpectralDecomposition(dec.eigenvalues[None], dec.eigenvectors[None])
-    decs = [_psd_spectrum(h)[0] for h in stack]
-    return SpectralDecomposition(
-        np.stack([dec.eigenvalues for dec in decs]), np.stack([dec.eigenvectors for dec in decs])
-    )
 
 
 def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:

@@ -15,13 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .matfun import (
+    SpectralDecomposition,
     _as_pair,
+    _hermitian_stack,
+    _memo_spectra,
     _psd_spectra,
     _psd_spectrum,
-    spectral_decompose,
     support_basis,
 )
-from .states import telescope_mix
 
 # Mass of rho allowed outside the support of sigma before the relative
 # entropy is declared infinite.
@@ -44,10 +45,25 @@ def _sum_xlogx(lam: np.ndarray) -> float:
     return float(np.sum(pos * np.log(pos)))
 
 
+def _spectra(states: np.ndarray, memo: bool) -> SpectralDecomposition:
+    """PSD spectra of a stack (n, d, d).
+
+    ``memo`` marks the stack of one of a one-pair call, whose matrix goes
+    through the spectrum memo as one-pair calls always have; a stack never
+    does, and inside a block scope it shares the block's store.
+    """
+    return _memo_spectra(states) if memo else _psd_spectra(states)[0]
+
+
+def _entropies(states: np.ndarray, memo: bool) -> np.ndarray:
+    """``von_neumann_entropy`` of each matrix of a stack (n, d, d)."""
+    lams = _spectra(states, memo).eigenvalues
+    return np.array([_clamp_entropy(-_sum_xlogx(lam)) for lam in lams])
+
+
 def von_neumann_entropy(rho) -> float:
     """- tr rho log rho; zero for pure states, log(dim) for maximally mixed."""
-    dec, _ = _psd_spectrum(rho)
-    return _clamp_entropy(-_sum_xlogx(dec.eigenvalues))
+    return float(_entropies(np.asarray(rho)[None], memo=True)[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -58,32 +74,55 @@ def relative_entropy(rho, sigma) -> float:
     support of sigma and the result is finite and nonnegative.
     """
     rho, sigma = _as_pair(rho, sigma)
-    return _relative_entropies([rho], sigma)[0]
+    (value,) = _relative_entropies([rho[None]], sigma[None], [np.ones(1, dtype=bool)], memo=True)
+    return float(value[0])
 
 
-def _relative_entropies(states, sigma) -> list[float]:
-    """``relative_entropy`` of each complex state against one sigma.
+def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
+    """``relative_entropy`` of each stack in ``states`` against ``sigma``.
 
-    The support of sigma, its compression and the log of that compression
-    are computed once, and only if some state stays inside the support.
+    ``states`` holds (N, d, d) stacks and ``used`` an (N,) mask for each;
+    pair i of a stack is compared with sigma[i] where its mask is true and
+    gets 0.0 elsewhere.  Per pair the support of sigma, the compression of
+    sigma to it and the log of that compression are computed once, and
+    only if some used state stays inside the support.  Pairs are grouped
+    by the rank of that support, in order of first appearance; a group is
+    compressed in one stacked product, and its compressed sigmas are
+    decomposed in one eigh without the PSD cut.  Each element follows the
+    one-pair sequence, so its value is the one-pair value bit for bit.
     """
-    V = support_basis(sigma)
-    Vh = V.conj().T
-    states_c = [Vh @ rho @ V for rho in states]
-    leaks = [1.0 - float(np.trace(rho_c).real) for rho_c in states_c]
-    if not all(leak > EPS_SUPP for leak in leaks):
-        dec = spectral_decompose(Vh @ sigma @ V)
-        log_sig = dec.apply(np.log(dec.eigenvalues))
-    values = []
-    for rho, rho_c, leak in zip(states, states_c, leaks):
-        if leak > EPS_SUPP:
-            values.append(float("inf"))
+    n, dim = len(sigma), sigma.shape[-1]
+    dec = _spectra(sigma, memo)
+    ranks = np.count_nonzero(dec.eigenvalues > 0.0, axis=1)
+    inside = [np.zeros(n, dtype=bool) for _ in states]
+    cross = [np.zeros(n) for _ in states]
+    for rank in dict.fromkeys(ranks.tolist()):
+        pairs = np.flatnonzero(ranks == rank)
+        # the support is the last columns, contiguous as in _stack_values
+        V = np.ascontiguousarray(dec.eigenvectors[pairs][..., dim - rank :])
+        Vh = V.conj().swapaxes(-1, -2)
+        compressed = [Vh @ state[pairs] @ V for state in states]
+        for state_c, use, ins in zip(compressed, used, inside):
+            leak = 1.0 - np.trace(state_c, axis1=1, axis2=2).real
+            ins[pairs] = use[pairs] & ~(leak > EPS_SUPP)
+        need = np.logical_or.reduce([ins[pairs] for ins in inside])
+        if not need.any():
             continue
-        rho_dec, _ = _psd_spectrum(rho)
-        value = _sum_xlogx(rho_dec.eigenvalues) - float(
-            np.real(np.trace(rho_c @ log_sig))
-        )
-        values.append(_clamp_entropy(value))
+        sig_c = _hermitian_stack((Vh @ sigma[pairs] @ V)[need])
+        sig_dec = SpectralDecomposition(*np.linalg.eigh(sig_c))
+        log_sig = sig_dec.apply(np.log(sig_dec.eigenvalues))
+        for state_c, ins, out in zip(compressed, inside, cross):
+            sel = ins[pairs]
+            product = state_c[sel] @ log_sig[sel[need]]
+            out[pairs[sel]] = np.trace(product, axis1=1, axis2=2).real
+    values = []
+    for state, use, ins, out in zip(states, used, inside, cross):
+        value = np.where(use, np.inf, 0.0)
+        if ins.any():
+            lams = _spectra(state[ins], memo).eigenvalues
+            xlogx = np.array([_sum_xlogx(lam) for lam in lams])
+            value[ins] = _clamp_entropy(xlogx - out[ins])
+        values.append(value)
     return values
 
 
@@ -286,36 +325,64 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log(p) - (1.0 - p) * np.log1p(-p))
 
 
-def holevo_two(p: float, rho, sigma) -> float:
+def _ensemble(p, rho, sigma):
+    """The Holevo functions' inputs as stacks: (w, rho, sigma, mix, one).
+
+    ``p`` is checked and broadcast to one weight per pair, ``mix`` is
+    w*rho + (1-w)*sigma per pair, and ``one`` marks a one-pair call, whose
+    inputs become stacks of one.
+    """
+    w = np.asarray(p, dtype=float)
+    for x in w.ravel().tolist():
+        if not 0.0 <= x <= 1.0:
+            bad = p if w.ndim == 0 else x
+            raise ValueError(f"probability must lie in [0, 1], got {bad}")
+    rho, sigma = _as_pair(rho, sigma)
+    one = rho.ndim != 3
+    if one:
+        rho, sigma = rho[None], sigma[None]
+    w = np.broadcast_to(w, (len(rho),))
+    w_c = w.reshape((-1,) + (1,) * (rho.ndim - 1))
+    return w, rho, sigma, w_c * rho + (1.0 - w_c) * sigma, one
+
+
+def holevo_two(p, rho, sigma):
     """Holevo quantity of the two-state ensemble {(p, rho), (1-p, sigma)}.
 
     S(p rho + (1-p) sigma) - p S(rho) - (1-p) S(sigma); bounded above by
     the binary entropy h(p) and, more sharply, by h(p) times the trace
     norm distance of the pair.
+
+    Shapes: ``rho`` and ``sigma`` share one shape, (d, d) for one pair or
+    (N, d, d) for a stack of N pairs; ``p`` is a scalar or an (N,) array
+    with one probability per pair.  One pair returns a Python float, a
+    stack an (N,) float array whose elements are the one-pair values bit
+    for bit.  A stack's mixtures, rho and sigma are decomposed as three
+    stacks, which a sweep block shares through its store with ``S_a`` and
+    ``holevo_two_via_relative``; one pair reads the spectrum memo.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    mix = telescope_mix(rho, sigma, p)
-    value = (
-        von_neumann_entropy(mix)
-        - p * von_neumann_entropy(rho)
-        - (1.0 - p) * von_neumann_entropy(sigma)
+    w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
+    value = _clamp_entropy(
+        _entropies(mix, one) - w * _entropies(rho, one) - (1.0 - w) * _entropies(sigma, one)
     )
-    return _clamp_entropy(float(value))
+    return float(value[0]) if one else value
 
 
-def holevo_two_via_relative(p: float, rho, sigma) -> float:
+def holevo_two_via_relative(p, rho, sigma):
     """Same quantity as weighted relative entropies against the mixture.
 
     p S(rho||mix) + (1-p) S(sigma||mix); zero-weight terms are skipped so
     the p = 0, 1 endpoints avoid 0 * inf.  Both terms share one
     decomposition of the mixture compressed to its support.
+
+    Shapes as for ``holevo_two``.  A stack's pairs are grouped by the rank
+    of the mixture's support; the mixtures, rho and sigma are decomposed
+    as whole stacks, which a sweep block takes from its store.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
-    mix = telescope_mix(rho, sigma, p)
-    rho, sigma = _as_pair(rho, sigma)
-    terms = [(w, state) for w, state in ((p, rho), (1.0 - p, sigma)) if w > 0.0]
-    values = _relative_entropies([state for _, state in terms], mix)
-    value = sum(w * v for (w, _), v in zip(terms, values))
-    return _clamp_entropy(float(value))
+    w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
+    weights = (w, 1.0 - w)
+    used = [weight > 0.0 for weight in weights]
+    s_rho, s_sigma = _relative_entropies((rho, sigma), mix, used, one)
+    # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
+    value = _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
+    return float(value[0]) if one else value

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .matfun import trace_norm_distance
+from .matfun import _block_spectra, trace_norm_distance
 from .renyi import _overlap_grid
 from .states import (
     haar_random_pure,
@@ -37,8 +37,6 @@ from .tre import (
     holevo_two,
     holevo_two_via_relative,
     telescopic_relative_entropy,
-    tre_limit_one,
-    tre_limit_zero,
 )
 
 # Overlap threshold for the strict (non-orthogonal) maximality probe and
@@ -141,7 +139,8 @@ class VerificationReport:
         """Deterministic JSON; a check with zero trials has a null worst margin."""
         checks = {}
         for name, st in self.checks.items():
-            checks[name] = asdict(st)
+            # a shallow copy: json.dumps only reads the witness
+            checks[name] = dict(vars(st))
             if st.trials == 0:
                 checks[name]["worst_margin"] = None
         doc = {
@@ -301,9 +300,12 @@ def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> li
 def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
     """Evaluate drawn trials and record every check, in trial order.
 
-    Every S_a and overlap of the block comes from three stacked calls.  A
-    trial's joint convexity a and Holevo p are picked from the grids by
-    its index within its dimension.
+    Every quantity of the block comes from one stacked call each, made
+    inside one ``_block_spectra`` scope, so the calls share the spectra of
+    rho, sigma and the Holevo mixtures.  The closed forms S_0 and S_1 are
+    the a = 0 and a = 1 cells of the first S_a call.  A trial's joint
+    convexity a and Holevo p are picked from the grids by its index within
+    its dimension.
     """
     n_a = len(a_grid)
     trials, bases, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
@@ -315,20 +317,25 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
         for r, s, r2, s2, w in zip(rhos, sigmas, rhos2, sigmas2, jc_weights)
     ]
     a_jc = [a_grid[trial % n_a] for trial in trials]
+    p_h = [p_grid[trial % len(p_grid)] for trial in trials]
 
-    # the joint convexity call takes the second pairs, then the mixed pairs
     pairs = np.stack(rhos), np.stack(sigmas)
-    sa = telescopic_relative_entropy(*pairs, a_grid + _LIMIT_A).tolist()
-    overlaps = _overlap_grid(*pairs, p_grid, a_grid).tolist()
-    jc_sa = telescopic_relative_entropy(
-        np.stack(rhos2 + [m[0] for m in mixtures]),
-        np.stack(sigmas2 + [m[1] for m in mixtures]),
-        np.array(a_jc + a_jc)[:, None],
-    )[:, 0].tolist()
+    with _block_spectra():
+        sa = telescopic_relative_entropy(*pairs, a_grid + _LIMIT_A + (0.0, 1.0)).tolist()
+        overlaps = _overlap_grid(*pairs, p_grid, a_grid).tolist()
+        # the joint convexity call takes the second pairs, then the mixed pairs
+        jc_sa = telescopic_relative_entropy(
+            np.stack(rhos2 + [m[0] for m in mixtures]),
+            np.stack(sigmas2 + [m[1] for m in mixtures]),
+            np.array(a_jc + a_jc)[:, None],
+        )[:, 0].tolist()
+        ts = trace_norm_distance(*pairs).tolist()
+        chis = holevo_two(np.array(p_h), *pairs).tolist()
+        chis_relative = holevo_two_via_relative(np.array(p_h), *pairs).tolist()
 
     for b, (trial, base) in enumerate(zip(trials, bases)):
         rho, sigma = base["rho"], base["sigma"]
-        t = trace_norm_distance(rho, sigma)
+        t = ts[b]
 
         sa_grid = sa[b][:n_a]
         mmax = maximality_margin(rho, sigma, np.array(sa_grid))
@@ -340,12 +347,9 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
             if mmax is not None:
                 checks["maximality"].record(float(mmax[k]), wit)
 
-        p_h = p_grid[trial % len(p_grid)]
-        wit = dict(base, p=p_h)
-        chi = holevo_two(p_h, rho, sigma)
-        checks["holevo"].record(check_holevo(p_h, chi, t), wit)
-        chi_relative = holevo_two_via_relative(p_h, rho, sigma)
-        checks["holevo_paths"].record(check_holevo_paths(chi, chi_relative), wit)
+        wit = dict(base, p=p_h[b])
+        checks["holevo"].record(check_holevo(p_h[b], chis[b], t), wit)
+        checks["holevo_paths"].record(check_holevo_paths(chis[b], chis_relative[b]), wit)
 
         for p, row in zip(p_grid, overlaps[b]):
             for a, overlap in zip(a_grid, row):
@@ -360,8 +364,8 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
         margin = check_joint_convexity(jc_weights[b], values, jc_sa[len(draws) + b])
         checks["joint_convexity"].record(margin, wit)
 
-        s0, s1 = tre_limit_zero(rho, sigma), tre_limit_one(rho, sigma)
-        for name, margin in check_limit_closed_forms(sa[b][n_a:], s0, s1).items():
+        *nodes, s0, s1 = sa[b][n_a:]
+        for name, margin in check_limit_closed_forms(nodes, s0, s1).items():
             checks[name].record(margin, dict(base))
 
 

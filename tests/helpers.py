@@ -103,3 +103,45 @@ def reference_overlap(rho, tau, p):
     """max(tr rho^(1-p) tau^p, 0)."""
     value = float(np.real(np.trace(reference_power(rho, 1.0 - p) @ reference_power(tau, p))))
     return max(value, 0.0)
+
+
+def _reference_entropy(rho):
+    lam = reference_psd_spectrum(rho)[0]
+    pos = lam[lam > 0.0]
+    return _reference_clamp(-float(np.sum(pos * np.log(pos))))
+
+
+def reference_holevo(p, rho, sigma):
+    """holevo_two of one pair, from three entropies."""
+    mix = p * rho + (1.0 - p) * sigma
+    value = (
+        _reference_entropy(mix)
+        - p * _reference_entropy(rho)
+        - (1.0 - p) * _reference_entropy(sigma)
+    )
+    return _reference_clamp(float(value))
+
+
+def _reference_relative_entropy(rho, sigma):
+    lam, U, _ = reference_psd_spectrum(sigma)
+    V = U[:, lam > 0.0]
+    rho_c = V.conj().T @ rho @ V
+    if 1.0 - float(np.trace(rho_c).real) > 1e-10:
+        return float("inf")
+    lam_s, U_s = np.linalg.eigh(check_hermitian(V.conj().T @ sigma @ V))
+    log_sig = (U_s * np.log(lam_s)) @ U_s.conj().T
+    lam_rho = reference_psd_spectrum(rho)[0]
+    pos = lam_rho[lam_rho > 0.0]
+    value = float(np.sum(pos * np.log(pos))) - float(np.real(np.trace(rho_c @ log_sig)))
+    return _reference_clamp(value)
+
+
+def reference_holevo_relative(p, rho, sigma):
+    """holevo_two_via_relative of one pair, zero-weight terms skipped."""
+    mix = p * rho + (1.0 - p) * sigma
+    terms = [(w, state) for w, state in ((p, rho), (1.0 - p, sigma)) if w > 0.0]
+    return _reference_clamp(float(sum(w * _reference_relative_entropy(s, mix) for w, s in terms)))
+
+
+def reference_trace_distance(rho, sigma):
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))

@@ -4,8 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_hermitian, random_pd
+from helpers import mixed_strata_stack, random_hermitian, random_pd, reference_trace_distance
+from telent import verify
 from telent.matfun import (
+    _BLOCK_STORE,
+    _block_spectra,
+    _psd_spectra,
     _psd_spectrum,
     frechet_log_map,
     frechet_power_map,
@@ -149,7 +153,79 @@ class TestSpectrumMemo:
         assert linalg_calls["eigh"] == 1
 
 
+class TestBlockStore:
+    def test_equal_stack_decomposes_once_in_a_scope(self, rng, linalg_calls):
+        H = np.stack([random_pd(rng, 3) for _ in range(4)])
+        with _block_spectra():
+            first = _psd_spectra(H)
+            assert _psd_spectra(H.copy()) is first
+            # the key is the whole stack, so a part of it is decomposed again
+            _psd_spectra(H[:3])
+        assert linalg_calls["eigh"] == 2
+        # outside a scope nothing is stored
+        assert _psd_spectra(H) is not _psd_spectra(H)
+        assert linalg_calls["eigh"] == 4
+
+    def test_stored_arrays_read_only(self, rng):
+        H = np.stack([random_pd(rng, 3) for _ in range(2)])
+        with _block_spectra():
+            dec, cut = _psd_spectra(H)
+        for array in (dec.eigenvalues, dec.eigenvectors, cut):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert _psd_spectra(H)[0].eigenvalues.flags.writeable
+
+    def test_invalid_stack_raises_every_call(self, linalg_calls):
+        H = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])])
+        with _block_spectra():
+            for _ in range(2):
+                with pytest.raises(ValueError, match="positive semidefinite"):
+                    _psd_spectra(H)
+        assert linalg_calls["eigh"] == 2
+
+    def test_sweep_opens_and_drops_its_store(self, monkeypatch):
+        sizes = []
+        holevo = verify.holevo_two
+
+        def counting(p, rho, sigma):
+            sizes.append(len(_BLOCK_STORE.get()))
+            return holevo(p, rho, sigma)
+
+        monkeypatch.setattr(verify, "holevo_two", counting)
+        config = verify.FuzzConfig(dims=(2, 3), trials=4, seed=1)
+        report = verify.run_fuzz(config)
+        # S_a, the overlaps and joint convexity have filled the store by then
+        assert len(sizes) == len(config.dims) and min(sizes) > 0
+        assert _BLOCK_STORE.get() is None
+        verify.replay_witness(report.checks["holevo"].witness)
+        assert _BLOCK_STORE.get() is None
+
+    def test_store_dropped_after_a_block_that_raised(self):
+        config = verify.FuzzConfig(trials=1)
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        draw = (0, {"rho": bad, "sigma": np.eye(2) / 2}, np.eye(2) / 2, np.eye(2) / 2, 0.5)
+        checks = verify._fresh_checks(config.slack)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            verify._record_block(config.a_grid, config.p_grid, checks, [draw])
+        assert _BLOCK_STORE.get() is None
+
+
 class TestTraceNormDistance:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 64])
+    def test_stack_is_bit_identical_to_one_pair(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        pairs = list(zip(rho, sigma))
+        stacked = trace_norm_distance(rho, sigma)
+        expected = [reference_trace_distance(r, s) for r, s in pairs]
+        assert stacked.shape == (len(rho),)
+        assert stacked.tobytes() == np.array(expected).tobytes()
+        assert [trace_norm_distance(r, s) for r, s in pairs] == expected
+
+    def test_one_pair_returns_a_float(self, rng):
+        rho, sigma = random_pd(rng, 3), random_pd(rng, 3)
+        assert type(trace_norm_distance(rho, sigma)) is float
+        assert trace_norm_distance(rho[None], sigma[None]).shape == (1,)
+
     def test_identical(self, rng):
         A = random_pd(rng, 3)
         assert trace_norm_distance(A, A) == 0.0

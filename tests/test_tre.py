@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import mixed_strata_stack, random_pd, reference_sa
+from helpers import (
+    mixed_strata_stack,
+    random_pd,
+    reference_holevo,
+    reference_holevo_relative,
+    reference_sa,
+)
+from telent import matfun
 from telent.matfun import _psd_spectrum_of_bytes, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
@@ -210,9 +217,15 @@ class TestStackedKernel:
     def test_stack_calls_leave_the_memo_alone(self):
         # a stack's cost must not depend on what earlier calls left behind
         rho, sigma = mixed_strata_stack(np.random.default_rng(3), 3)
+        p = np.linspace(0.0, 1.0, len(rho))
         _psd_spectrum_of_bytes.cache_clear()
         telescopic_relative_entropy(rho, sigma, STACK_A)
         telescopic_relative_entropy(rho[0], sigma[0], STACK_A)
+        for f in (holevo_two, holevo_two_via_relative):
+            f(p, rho, sigma)
+            f(0.3, rho, sigma)
+            f(0.3, rho[:1], sigma[:1])
+        trace_norm_distance(rho, sigma)
         assert _psd_spectrum_of_bytes.cache_info().currsize == 0
 
     def test_per_pair_rows_and_shapes(self, rng):
@@ -402,3 +415,100 @@ class TestHolevo:
             hp = binary_entropy(p)
             assert chi <= hp + 1e-9
             assert chi <= hp * trace_norm_distance(rho, sigma) + 1e-9
+
+
+# per-pair probabilities with both endpoints, for the five pairs of
+# mixed_strata_stack; the scalars are broadcast to every pair
+STACK_P = (0.0, 0.3, 1.0, 0.75, 0.5)
+SCALAR_P = (0.0, 0.4, 1.0)
+HOLEVO = (
+    (holevo_two, reference_holevo),
+    (holevo_two_via_relative, reference_holevo_relative),
+)
+
+
+class TestStackedHolevo:
+    """The Holevo pair takes (N, d, d) stacks; each element is the one-pair
+    value bit for bit, and the one-pair value is the scalar reference's."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 64])
+    def test_bit_identical_to_one_pair(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        pairs = list(zip(rho, sigma))
+        for f, reference in HOLEVO:
+            for p in (np.array(STACK_P), *SCALAR_P):
+                ps = np.broadcast_to(p, len(rho)).tolist()
+                stacked = f(p, rho, sigma)
+                one_pair = [f(q, r, s) for q, (r, s) in zip(ps, pairs)]
+                expected = [reference(q, r, s) for q, (r, s) in zip(ps, pairs)]
+                assert stacked.shape == (len(rho),)
+                # bit for bit, the sign of zero included
+                assert stacked.tobytes() == np.array(expected).tobytes(), (f.__name__, p)
+                assert np.array(one_pair).tobytes() == np.array(expected).tobytes()
+
+    def test_in_a_block_scope(self, rng):
+        # the block store returns stored spectra, which give the same bits
+        rho, sigma = mixed_strata_stack(rng, 4)
+        p = np.array(STACK_P)
+        outside = [f(p, rho, sigma) for f, _ in HOLEVO]
+        with matfun._block_spectra():
+            telescopic_relative_entropy(rho, sigma, STACK_A)
+            inside = [f(p, rho, sigma) for f, _ in HOLEVO]
+        for a, b in zip(outside, inside):
+            assert a.tobytes() == b.tobytes()
+
+    def test_one_pair_returns_a_float(self, rng):
+        rho, sigma = mixed_strata_stack(rng, 3)
+        for f in (holevo_two, holevo_two_via_relative):
+            assert type(f(0.3, rho[0], sigma[0])) is float
+            assert type(f(np.float64(0.3), rho[0], sigma[0])) is float
+            assert f(0.3, rho[:1], sigma[:1]).shape == (1,)
+
+    @pytest.mark.parametrize("f", [holevo_two, holevo_two_via_relative])
+    def test_bad_probability_is_named(self, rng, f):
+        rho, sigma = mixed_strata_stack(rng, 2)
+        for bad in (1.5, -0.25, float("nan")):
+            p = np.full(len(rho), 0.5)
+            p[2] = bad
+            with pytest.raises(ValueError, match=rf"probability must lie in \[0, 1\], got {bad}"):
+                f(p, rho, sigma)
+            with pytest.raises(ValueError, match=rf"probability must lie in \[0, 1\], got {bad}"):
+                f(bad, rho[0], sigma[0])
+
+    @pytest.mark.parametrize(
+        "bad_rho",
+        [
+            np.diag([1.2, -0.2]),
+            np.diag([1.6, -0.6]),
+            np.array([[0.5, 0.1], [0.0, 0.5]]),
+            np.diag([np.nan, 1.0]),
+        ],
+        ids=["not_psd", "mixture_not_psd", "not_hermitian", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda r, s: holevo_two(0.5, r, s),
+            lambda r, s: holevo_two_via_relative(0.5, r, s),
+            trace_norm_distance,
+        ],
+        ids=["holevo_two", "holevo_two_via_relative", "trace_norm_distance"],
+    )
+    def test_bad_matrix_raises_the_one_pair_message(self, f, bad_rho):
+        half = np.eye(2) / 2
+        rho = np.stack([np.diag([1.0, 0.0]), half, bad_rho]).astype(complex)
+        sigma = np.stack([half] * 3).astype(complex)
+        one_pair = _message(f, rho[2], sigma[2])
+        assert _message(f, rho, sigma) == one_pair
+        # T reads only the Hermitian difference, so a state that is not PSD passes
+        hermitian = np.allclose(bad_rho, bad_rho.conj().T)
+        assert (one_pair is None) == (f is trace_norm_distance and hermitian)
+
+
+def _message(f, *args):
+    """The message of the ValueError that f(*args) raises, or None."""
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None

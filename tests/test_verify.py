@@ -329,18 +329,47 @@ class TestWorkCount:
             "telescopic_relative_entropy",
             lambda rho, sigma, a: sa_calls.append(1) or sa(rho, sigma, a),
         )
+        holevo_calls = []
+        for name in ("holevo_two", "holevo_two_via_relative"):
+            f = getattr(verify, name)
+            monkeypatch.setattr(
+                verify,
+                name,
+                lambda p, rho, sigma, _f=f: holevo_calls.append(_f.__name__) or _f(p, rho, sigma),
+            )
+        limit_calls = []
+        for module in (tre, verify):
+            # verify holds no closed form; patching it anyway counts one it gains
+            for name in ("tre_limit_zero", "tre_limit_one"):
+                f = getattr(tre, name)
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda rho, sigma, _f=f: limit_calls.append(1) or _f(rho, sigma),
+                    raising=False,
+                )
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
         report = run_fuzz(config)
         trials = len(config.dims) * config.trials
-        # eigh per trial: the Holevo mixture, rho and sigma, and the
-        # mixture compressed to its support, which both relative entropies
-        # share; the limit checks then find rho and sigma in the memo.
-        # Every S_a and overlap spectrum comes in a few stacked calls per
-        # dimension.
-        assert linalg_calls["eigh"] <= 5 * trials
-        assert linalg_calls["eigh_matrices"] <= 29 * trials
-        # the a-grid with the limit nodes, and both joint convexity pairs
-        assert len(sa_calls) <= 3 * len(config.dims)
+        blocks = len(config.dims)
+        # Each dimension is one block here, and a block takes every spectrum
+        # from stacked eigh calls that share one store, so rho, sigma and the
+        # Holevo mixture are decomposed once per trial.  eigh matrices per
+        # trial: 14 for the S_a grid (sigma at a = 0, rho at a = 1, the joint
+        # support and 11 mixtures), 6 for joint convexity, 5 overlap
+        # mixtures, the Holevo mixture and its compression to its support,
+        # which both relative entropies share.
+        assert linalg_calls["eigh"] <= 1 * trials
+        assert linalg_calls["eigh_matrices"] <= 27 * trials
+        # T of a block is one stacked eigvalsh
+        assert linalg_calls["eigvalsh"] <= blocks
+        # the a-grid with the limit nodes and the endpoints, whose cells are
+        # S_0 and S_1, and both joint convexity pairs
+        assert len(sa_calls) <= 2 * blocks
+        # one call of each Holevo path per block
+        assert holevo_calls.count("holevo_two") <= blocks
+        assert holevo_calls.count("holevo_two_via_relative") <= blocks
+        assert not limit_calls
         # the TRRE grid takes rho^(1-p) once per p and tau_a^p once per (p, a)
         assert len(powers) <= 18 * trials
         # only each check's final witness is serialised: rho and sigma, plus
