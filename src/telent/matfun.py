@@ -4,6 +4,10 @@ Eigendecomposition with the PSD cutoff every quantity shares, support
 projectors, the trace norm distance, and the divided-difference
 derivative maps of the matrix logarithm and of fractional matrix powers.
 Everything here is a pure function of its inputs.
+
+``_psd_spectra`` alone decides where a stack's spectra come from: the
+block store inside a ``_block_spectra`` scope, else the spectrum memo for
+the one matrix of a call that returns one float, else a fresh eigh.
 """
 
 from __future__ import annotations
@@ -65,23 +69,7 @@ def check_hermitian(H) -> np.ndarray:
     Raises ``ValueError`` naming the worst entry pair on violation.
     Returns the input as a complex ndarray.
     """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    # inf - inf would warn; the non-finite test below reports it instead
-    with np.errstate(invalid="ignore"):
-        delta = np.abs(H - H.conj().T)
-    k = int(np.argmax(delta))
-    i, j = divmod(k, H.shape[0])
-    # a non-finite entry makes its delta NaN or inf, so it fails this test
-    if not delta[i, j] <= TOL_HERM:
-        if not np.all(np.isfinite(H)):
-            raise ValueError("matrix has non-finite entries")
-        raise ValueError(
-            f"matrix is not Hermitian: entries ({i},{j}) and ({j},{i}) "
-            f"differ by {delta[i, j]:.3e} (tolerance {TOL_HERM:.1e})"
-        )
-    return H
+    return _hermitian_stack(np.asarray(H, dtype=complex)[None])[0]
 
 
 def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
@@ -93,10 +81,33 @@ def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def spectral_decompose(H) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    lam, U = np.linalg.eigh(check_hermitian(H))
-    return SpectralDecomposition(lam, U)
+def _hermitian_stack(H) -> np.ndarray:
+    """A stack of matrices (n, r, r) as a complex array, each validated.
+
+    Each matrix must be square, nonempty, finite and Hermitian within
+    ``TOL_HERM`` entrywise; the first invalid one raises, naming its worst
+    entry pair.
+    """
+    H = np.asarray(H, dtype=complex)
+    if H.ndim != 3 or H.shape[1] != H.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape[1:]}")
+    if H.shape[1] == 0:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
+    # inf - inf would warn; the non-finite test below reports it instead
+    with np.errstate(invalid="ignore"):
+        delta = np.abs(H - H.conj().swapaxes(1, 2))
+    # a non-finite entry makes its delta NaN or inf, so it fails this test
+    valid = delta <= TOL_HERM
+    if not valid.all():
+        n = int(np.argmin(valid.all(axis=(1, 2))))
+        i, j = divmod(int(np.argmax(delta[n])), H.shape[1])
+        if not np.all(np.isfinite(H[n])):
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError(
+            f"matrix is not Hermitian: entries ({i},{j}) and ({j},{i}) "
+            f"differ by {delta[n, i, j]:.3e} (tolerance {TOL_HERM:.1e})"
+        )
+    return H
 
 
 def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
@@ -126,11 +137,16 @@ def _psd_spectrum_of_bytes(
     shape: tuple[int, ...], data: bytes
 ) -> tuple[SpectralDecomposition, float]:
     H = np.frombuffer(data, dtype=complex).reshape(shape)
-    stack, cut = _psd_spectra(H[None])
-    lam, U = stack.eigenvalues[0], stack.eigenvectors[0]
-    lam.flags.writeable = False
-    U.flags.writeable = False
-    return SpectralDecomposition(lam, U), float(cut[0])
+    dec, cut = _read_only(_decompose_stack(H[None]))
+    return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0]), float(cut[0])
+
+
+def _read_only(spectra: tuple[SpectralDecomposition, np.ndarray]):
+    """The spectra of ``_decompose_stack`` with their arrays made read-only."""
+    dec, cut = spectra
+    for array in (dec.eigenvalues, dec.eigenvectors, cut):
+        array.flags.writeable = False
+    return spectra
 
 
 @contextlib.contextmanager
@@ -142,8 +158,7 @@ def _block_spectra():
     of one block of pairs share the spectra of rho, sigma and their
     mixtures.  Only stacks that passed validation are stored, and their
     arrays are read-only.  The store is dropped when the scope exits, also
-    by an exception; outside a scope nothing is stored, so the work of a
-    stacked call never depends on earlier calls.
+    by an exception.
     """
     token = _BLOCK_STORE.set({})
     try:
@@ -152,54 +167,45 @@ def _block_spectra():
         _BLOCK_STORE.reset(token)
 
 
-def _hermitian_stack(H) -> np.ndarray:
-    """A stack of matrices (n, r, r) as a complex array, each validated.
+def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarray]:
+    """PSD spectra of a stack of matrices, shape (n, r, r), and the n cutoffs.
 
-    Each matrix gets the test of ``check_hermitian``, and the first invalid
-    one raises its error.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 3 or H.shape[1] != H.shape[2]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape[1:]}")
-    # inf - inf would warn; check_hermitian reports it instead
-    with np.errstate(invalid="ignore"):
-        hermitian = np.abs(H - H.conj().swapaxes(1, 2)) <= TOL_HERM
-    # a NaN entry fails the test, as in check_hermitian
-    if not hermitian.all():
-        for h in H:
-            check_hermitian(h)
-    return H
+    Each matrix gets the validation of ``_hermitian_stack`` (the first
+    invalid one raises its error) and the kernel cut of ``_psd_spectrum``.
+    This is the one place that decides where a stack's spectra come from:
 
+    * inside a ``_block_spectra`` scope, from the block store, which keeps
+      each distinct stack's result, read-only, until the scope exits;
+    * otherwise, with ``memo`` set, from the spectrum memo of
+      ``_psd_spectrum``.  Only a call that returns one Python float sets
+      it, for a stack of one matrix;
+    * otherwise, from a fresh stacked eigh, so a stacked call's work never
+      depends on earlier calls.
 
-def _psd_spectra(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
-    """PSD spectra of a stack of matrices, shape (n, r, r), in one eigh call.
-
-    Each matrix gets the validation of ``check_hermitian`` (the first
-    invalid one raises its error) and the kernel cut of ``_psd_spectrum``;
-    returns the stacked decomposition and the n cutoffs.  Rejection uses
-    the looser level dim * TOL_HERM * lambda_max: inputs pass as Hermitian
-    with entrywise asymmetry up to TOL_HERM, which alone moves eigenvalues
-    that far, and eigh roundoff on a zero eigenvalue can exceed the rank
-    cutoff.  eigh on a stack returns per matrix the bits it returns for
-    that matrix alone, so no value depends on what else is in the stack.
-    Inside a ``_block_spectra`` scope the result of each distinct stack is
-    stored, read-only, and returned again for an equal stack.
+    Rejection uses the looser level dim * TOL_HERM * lambda_max: inputs
+    pass as Hermitian with entrywise asymmetry up to TOL_HERM, which alone
+    moves eigenvalues that far, and eigh roundoff on a zero eigenvalue can
+    exceed the rank cutoff.  eigh on a stack returns per matrix the bits it
+    returns for that matrix alone, so no value depends on the source or on
+    what else is in the stack.
     """
     H = np.asarray(H, dtype=complex)
     store = _BLOCK_STORE.get()
-    if store is None:
-        return _decompose_stack(H)
-    key = (H.shape, H.tobytes())
-    if key not in store:
-        dec, cut = _decompose_stack(H)
-        for array in (dec.eigenvalues, dec.eigenvectors, cut):
-            array.flags.writeable = False
-        store[key] = dec, cut
-    return store[key]
+    if store is not None:
+        key = (H.shape, H.tobytes())
+        if key not in store:
+            store[key] = _read_only(_decompose_stack(H))
+        return store[key]
+    if memo:
+        (h,) = H
+        dec, cut = _psd_spectrum(h)
+        lam, U = dec.eigenvalues[None], dec.eigenvectors[None]
+        return SpectralDecomposition(lam, U), np.array([cut])
+    return _decompose_stack(H)
 
 
 def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
-    """``_psd_spectra`` without the store."""
+    """``_psd_spectra`` from a fresh eigh, without the store or the memo."""
     lam, U = np.linalg.eigh(_hermitian_stack(H))
     dim = H.shape[1]
     cut = []
@@ -215,17 +221,6 @@ def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
     cut = np.array(cut)
     lam[lam <= cut[:, None]] = 0.0
     return SpectralDecomposition(lam, U), cut
-
-
-def _memo_spectra(stack: np.ndarray) -> SpectralDecomposition:
-    """The spectra of a stack's matrices, each through the spectrum memo."""
-    if len(stack) == 1:
-        dec, _ = _psd_spectrum(stack[0])
-        return SpectralDecomposition(dec.eigenvalues[None], dec.eigenvectors[None])
-    decs = [_psd_spectrum(h)[0] for h in stack]
-    return SpectralDecomposition(
-        np.stack([dec.eigenvalues for dec in decs]), np.stack([dec.eigenvectors for dec in decs])
-    )
 
 
 def support_basis(A) -> np.ndarray:

@@ -16,7 +16,6 @@ import numpy as np
 from .matfun import (
     SpectralDecomposition,
     _as_pair,
-    _memo_spectra,
     _psd_spectra,
     _psd_spectrum,
 )
@@ -63,28 +62,23 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     return float(_clamped_trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
 
 
-def _overlap_grid(rho: np.ndarray, sigma: np.ndarray, p_grid, a_grid) -> np.ndarray:
+def _overlap_grid(rho, sigma, p_grid, a_grid, memo: bool = False) -> np.ndarray:
     """Telescoped overlaps of a stack of pairs over a (p, a) grid.
 
     ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
     (N, len(p_grid), len(a_grid)) and holds tr rho^(1-p) tau^p with
     tau = a*rho + (1-a)*sigma, each element bit for bit what the one-pair
-    call computes.  For N > 1 the N states are decomposed in one stacked
-    eigh, which a sweep block takes from its store, and the
-    N * len(a_grid) mixtures in another; one pair, as
-    ``renyi_overlap_telescoped`` passes it, takes each matrix through the
-    spectrum memo, which a pair's repeated calls hit.  rho^(1-p) is built
-    once per pair and p.
+    call computes.  The N states and the N * len(a_grid) mixtures are two
+    stacks for ``_psd_spectra``: from the store inside a sweep block, from
+    the spectrum memo when ``memo`` is set (``renyi_overlap_telescoped``,
+    one pair at one a), else from a fresh stacked eigh.  rho^(1-p) is
+    built once per pair and p.
     """
     n, k, shape = len(rho), len(a_grid), rho.shape[1:]
     a = np.asarray(a_grid, dtype=float)[:, None, None]
     mixes = a * rho[:, None] + (1.0 - a) * sigma[:, None]
-    if n == 1:
-        states = _memo_spectra(rho)
-        mixtures = _memo_spectra(mixes[0])
-    else:
-        states, _ = _psd_spectra(rho)
-        mixtures, _ = _psd_spectra(mixes.reshape(n * k, *shape))
+    states, _ = _psd_spectra(rho, memo)
+    mixtures, _ = _psd_spectra(mixes.reshape(n * k, *shape), memo)
     mixtures = SpectralDecomposition(
         mixtures.eigenvalues.reshape(n, k, -1), mixtures.eigenvectors.reshape(n, k, *shape)
     )
@@ -105,7 +99,7 @@ def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
     rho, sigma = _as_pair(rho, sigma)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
-    return float(_overlap_grid(rho[None], sigma[None], (p,), (a,))[0, 0, 0])
+    return float(_overlap_grid(rho[None], sigma[None], (p,), (a,), memo=True)[0, 0, 0])
 
 
 def trre(rho, sigma, p: float, a: float) -> float:

@@ -18,7 +18,6 @@ from .matfun import (
     SpectralDecomposition,
     _as_pair,
     _hermitian_stack,
-    _memo_spectra,
     _psd_spectra,
     _psd_spectrum,
     support_basis,
@@ -45,19 +44,9 @@ def _sum_xlogx(lam: np.ndarray) -> float:
     return float(np.sum(pos * np.log(pos)))
 
 
-def _spectra(states: np.ndarray, memo: bool) -> SpectralDecomposition:
-    """PSD spectra of a stack (n, d, d).
-
-    ``memo`` marks the stack of one of a one-pair call, whose matrix goes
-    through the spectrum memo as one-pair calls always have; a stack never
-    does, and inside a block scope it shares the block's store.
-    """
-    return _memo_spectra(states) if memo else _psd_spectra(states)[0]
-
-
 def _entropies(states: np.ndarray, memo: bool) -> np.ndarray:
     """``von_neumann_entropy`` of each matrix of a stack (n, d, d)."""
-    lams = _spectra(states, memo).eigenvalues
+    lams = _psd_spectra(states, memo)[0].eigenvalues
     return np.array([_clamp_entropy(-_sum_xlogx(lam)) for lam in lams])
 
 
@@ -92,7 +81,7 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     one-pair sequence, so its value is the one-pair value bit for bit.
     """
     n, dim = len(sigma), sigma.shape[-1]
-    dec = _spectra(sigma, memo)
+    dec, _ = _psd_spectra(sigma, memo)
     ranks = np.count_nonzero(dec.eigenvalues > 0.0, axis=1)
     inside = [np.zeros(n, dtype=bool) for _ in states]
     cross = [np.zeros(n) for _ in states]
@@ -119,7 +108,7 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     for state, use, ins, out in zip(states, used, inside, cross):
         value = np.where(use, np.inf, 0.0)
         if ins.any():
-            lams = _spectra(state[ins], memo).eigenvalues
+            lams = _psd_spectra(state[ins], memo)[0].eigenvalues
             xlogx = np.array([_sum_xlogx(lam) for lam in lams])
             value[ins] = _clamp_entropy(xlogx - out[ins])
         values.append(value)

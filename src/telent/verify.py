@@ -86,6 +86,9 @@ class FuzzConfig:
             raise ValueError("a-grid values must lie in (0, 1)")
         if any(not 0.0 < p < 1.0 for p in self.p_grid):
             raise ValueError("p-grid values must lie in (0, 1)")
+        # negative slack is allowed: it forces failures
+        if not math.isfinite(self.slack):
+            raise ValueError(f"slack must be finite, got {self.slack}")
 
 
 @dataclass
@@ -106,7 +109,8 @@ class CheckStats:
 
     def record(self, margin: float, witness: dict) -> None:
         self.trials += 1
-        if margin < -self.tolerance:
+        # a NaN margin fails too
+        if not margin >= -self.tolerance:
             self.failures += 1
         if margin < _NEAR_EQUALITY:
             self.near_equalities += 1
@@ -136,13 +140,16 @@ class VerificationReport:
         return lines
 
     def to_json(self) -> str:
-        """Deterministic JSON; a check with zero trials has a null worst margin."""
+        """Deterministic JSON; a non-finite margin is written as null, as is
+        the worst margin of a check with zero trials."""
         checks = {}
         for name, st in self.checks.items():
             # a shallow copy: json.dumps only reads the witness
             checks[name] = dict(vars(st))
-            if st.trials == 0:
+            if not math.isfinite(st.worst_margin):
                 checks[name]["worst_margin"] = None
+            if st.witness is not None and not math.isfinite(st.witness["margin"]):
+                checks[name]["witness"] = dict(st.witness, margin=None)
         doc = {
             "config": asdict(self.config),
             "checks": checks,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from telent import cli, tre, verify
 from telent.cli import FIG1_A_VALUES, FigureSpec, figure_rows, load_state, main
 from telent.states import random_mixed_hs, state_to_jsonable
 
@@ -200,6 +201,29 @@ class TestVerifyCommand:
         doc = json.loads(out.read_text())
         assert doc["passed"] is False
         capsys.readouterr()
+
+    @pytest.mark.parametrize("slack", ["nan", "inf", "-inf"])
+    def test_non_finite_slack_exits_two_before_the_sweep(self, slack, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_fuzz", lambda config: pytest.fail("the sweep ran"))
+        assert main(["verify", f"--slack={slack}"]) == 2
+        assert capsys.readouterr().err == f"error: slack must be finite, got {float(slack)}\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_margin_exits_one_with_report(self, bad, tmp_path, capsys, monkeypatch):
+        right = tre.telescopic_relative_entropy
+
+        def broken(rho, sigma, a):
+            return np.full_like(right(rho, sigma, a), bad)
+
+        monkeypatch.setattr(verify, "telescopic_relative_entropy", broken)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--dims", "2", "--trials", "4", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False
+        st = doc["checks"]["range"]
+        assert st["failures"] == st["trials"] > 0 and st["worst_margin"] is None
+        assert st["witness"] is None or st["witness"]["margin"] is None
+        assert "FAIL range" in capsys.readouterr().out
 
     def test_fixed_seed_reports_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -9,13 +9,13 @@ from telent import verify
 from telent.matfun import (
     _BLOCK_STORE,
     _block_spectra,
+    _hermitian_stack,
     _psd_spectra,
     _psd_spectrum,
     frechet_log_map,
     frechet_power_map,
     check_hermitian,
     hermitian_part,
-    spectral_decompose,
     support_basis,
     support_projector,
     trace_norm_distance,
@@ -34,20 +34,23 @@ from telent.tre import (
 
 
 class TestSpectralDecompose:
+    """The decomposition every quantity draws from, ``_psd_spectrum``, on
+    positive definite input, and the Hermitian check in front of it."""
+
     def test_identity(self):
-        dec = spectral_decompose(np.eye(2))
+        dec, _ = _psd_spectrum(np.eye(2))
         assert_allclose(dec.eigenvalues, [1.0, 1.0])
         assert_allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2), atol=1e-12)
 
     def test_diagonal_already_sorted(self):
-        dec = spectral_decompose(np.diag([0.0, 0.3, 0.7]))
-        assert_allclose(dec.eigenvalues, [0.0, 0.3, 0.7])
+        dec, _ = _psd_spectrum(np.diag([0.1, 0.3, 0.6]))
+        assert_allclose(dec.eigenvalues, [0.1, 0.3, 0.6])
         assert_allclose(np.abs(dec.eigenvectors), np.eye(3), atol=1e-12)
 
     def test_reconstruction_random(self, rng):
         for _ in range(20):
-            H = random_hermitian(rng, 4)
-            dec = spectral_decompose(H)
+            H = random_pd(rng, 4)
+            dec, _ = _psd_spectrum(H)
             lam_max = max(1.0, np.abs(dec.eigenvalues).max())
             assert np.abs(dec.apply(dec.eigenvalues) - H).max() <= 1e-10 * lam_max
             assert np.abs(
@@ -58,7 +61,7 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match=r"\(0,1\)"):
-            spectral_decompose(M)
+            check_hermitian(M)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -66,6 +69,33 @@ class TestSpectralDecompose:
         for M in (np.diag([bad, 1.0]), np.array([[0.5, bad], [bad, 0.5]])):
             with pytest.raises(ValueError, match="non-finite"):
                 check_hermitian(M)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.zeros(3), "expected a square matrix, got shape (3,)"),
+            (np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+            (np.zeros((2, 2, 2)), "expected a square matrix, got shape (2, 2, 2)"),
+            (
+                [[0.0, 0.1, 0.0], [0.0, 0.0, 0.2], [0.5, 0.0, 0.0]],
+                "matrix is not Hermitian: entries (0,2) and (2,0) differ by "
+                "5.000e-01 (tolerance 1.0e-10)",
+            ),
+            (np.diag([1.0, np.inf]), "matrix has non-finite entries"),
+            (np.zeros((0, 0)), "expected a nonempty matrix, got shape (0, 0)"),
+        ],
+        ids=["1d", "not_square", "3d", "worst_entry", "inf", "empty"],
+    )
+    def test_check_hermitian_messages(self, bad, message):
+        with pytest.raises(ValueError) as exc:
+            check_hermitian(bad)
+        assert str(exc.value) == message
+        bad = np.asarray(bad)
+        if bad.ndim == 2 and bad.shape[0] == bad.shape[1] > 0:
+            # in a stack, the first invalid matrix raises its own message
+            with pytest.raises(ValueError) as exc:
+                _hermitian_stack([np.eye(len(bad)), bad, 10.0 * bad])
+            assert str(exc.value) == message
 
 
 class TestSupportProjector:

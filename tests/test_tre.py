@@ -14,6 +14,7 @@ from helpers import (
     reference_sa,
 )
 from telent import matfun
+from telent.renyi import _overlap_grid
 from telent.matfun import _psd_spectrum_of_bytes, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
@@ -22,6 +23,7 @@ from telent.states import (
     random_orthogonal_pair,
     telescope_mix,
 )
+from telent.verify import FuzzConfig, run_fuzz
 from telent.tre import (
     binary_entropy,
     holevo_two,
@@ -226,6 +228,9 @@ class TestStackedKernel:
             f(0.3, rho, sigma)
             f(0.3, rho[:1], sigma[:1])
         trace_norm_distance(rho, sigma)
+        # a stack of one pair is a stack too, in a sweep block or not
+        _overlap_grid(rho[:1], sigma[:1], (0.5,), (0.1, 0.5))
+        run_fuzz(FuzzConfig(dims=(32,), trials=1))
         assert _psd_spectrum_of_bytes.cache_info().currsize == 0
 
     def test_per_pair_rows_and_shapes(self, rng):

@@ -245,6 +245,11 @@ class TestRunFuzz:
             FuzzConfig(trials=0)
         with pytest.raises(ValueError):
             FuzzConfig(a_grid=(0.0, 0.5))
+        for slack in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"slack must be finite, got {slack}"):
+                FuzzConfig(slack=slack)
+        # a negative slack forces failures and stays allowed
+        assert FuzzConfig(slack=-1.0).slack == -1.0
 
 
 class TestBlocks:
