@@ -208,17 +208,18 @@ def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
     """``_psd_spectra`` from a fresh eigh, without the store or the memo."""
     lam, U = np.linalg.eigh(_hermitian_stack(H))
     dim = H.shape[1]
-    cut = []
-    for low, top in zip(lam[:, 0].tolist(), lam[:, -1].tolist()):
-        scale = max(top, 0.0)
-        bound = dim * TOL_HERM * scale
-        if low < -bound:
-            raise ValueError(
-                f"matrix is not positive semidefinite: eigenvalue {low:.6e} "
-                f"below -{bound:.3e}"
-            )
-        cut.append(dim * _EPS_RANK * scale)
-    cut = np.array(cut)
+    top = lam[:, -1]
+    # max(top, 0.0) as Python takes it
+    scale = np.where(0.0 > top, 0.0, top)
+    bound = dim * TOL_HERM * scale
+    negative = lam[:, 0] < -bound
+    if negative.any():
+        n = int(np.argmax(negative))
+        raise ValueError(
+            f"matrix is not positive semidefinite: eigenvalue {float(lam[n, 0]):.6e} "
+            f"below -{float(bound[n]):.3e}"
+        )
+    cut = dim * _EPS_RANK * scale
     lam[lam <= cut[:, None]] = 0.0
     return SpectralDecomposition(lam, U), cut
 

@@ -104,10 +104,15 @@ def random_orthogonal_pair(
     return rho, sigma
 
 
-def is_orthogonal(rho, sigma) -> bool:
-    """True iff tr(rho sigma) <= EPS_ORTH (mutually orthogonal supports)."""
+def is_orthogonal(rho, sigma):
+    """True iff tr(rho sigma) <= EPS_ORTH (mutually orthogonal supports).
+
+    One pair (d, d) gives a bool, a stack of pairs (N, d, d) an (N,) bool
+    array with the one-pair answer per pair.
+    """
     rho, sigma = _as_pair(rho, sigma)
-    return float(np.real(np.trace(rho @ sigma))) <= EPS_ORTH
+    orthogonal = np.trace(rho @ sigma, axis1=-2, axis2=-1).real <= EPS_ORTH
+    return orthogonal if rho.ndim == 3 else bool(orthogonal)
 
 
 def state_to_jsonable(rho) -> dict:

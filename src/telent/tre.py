@@ -38,16 +38,43 @@ def _clamp_entropy(value):
     return np.where((-_NEG_CLAMP <= value) & (value < 0.0), 0.0, value)
 
 
-def _sum_xlogx(lam: np.ndarray) -> float:
-    """sum lambda_i log lambda_i with the 0 log 0 = 0 convention."""
-    pos = lam[lam > 0.0]
-    return float(np.sum(pos * np.log(pos)))
+def _rank_groups(lam: np.ndarray):
+    """(rank, indices) for each support rank of a stack of cut spectra.
+
+    ``lam`` is (n, d) with its kernel exactly 0; the ranks come in order of
+    first appearance, the indices of each in increasing order.
+    """
+    ranks = (lam > 0.0).sum(axis=1)
+    for rank in dict.fromkeys(ranks.tolist()):
+        yield rank, (ranks == rank).nonzero()[0]
+
+
+def _support(U: np.ndarray, rows: np.ndarray, rank: int) -> np.ndarray:
+    """The supports of the given rows of a stack of cut spectra, all of
+    rank ``rank``: eigenvalues ascend, so they are the last ``rank``
+    eigenvector columns.  They are made contiguous like ``support_basis``,
+    as BLAS may round a strided operand differently."""
+    return np.ascontiguousarray(U[rows, :, U.shape[-1] - rank :])
+
+
+def _sum_xlogx(lam: np.ndarray) -> np.ndarray:
+    """sum lambda_i log lambda_i per row of cut spectra (n, d), 0 log 0 = 0.
+
+    A cut spectrum's positive entries are its last ``rank`` ones, and each
+    rank group sums that suffix along its rows.  That gives every row the
+    bits of a sum over its positive entries alone, which a zero-padded sum
+    does not from d = 8 on, where numpy's pairwise summation changes regime.
+    """
+    out = np.empty(len(lam))
+    for rank, rows in _rank_groups(lam):
+        pos = lam[rows, lam.shape[1] - rank :]
+        out[rows] = np.sum(pos * np.log(pos), axis=1)
+    return out
 
 
 def _entropies(states: np.ndarray, memo: bool) -> np.ndarray:
     """``von_neumann_entropy`` of each matrix of a stack (n, d, d)."""
-    lams = _psd_spectra(states, memo)[0].eigenvalues
-    return np.array([_clamp_entropy(-_sum_xlogx(lam)) for lam in lams])
+    return _clamp_entropy(-_sum_xlogx(_psd_spectra(states, memo)[0].eigenvalues))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -80,15 +107,12 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     decomposed in one eigh without the PSD cut.  Each element follows the
     one-pair sequence, so its value is the one-pair value bit for bit.
     """
-    n, dim = len(sigma), sigma.shape[-1]
+    n = len(sigma)
     dec, _ = _psd_spectra(sigma, memo)
-    ranks = np.count_nonzero(dec.eigenvalues > 0.0, axis=1)
     inside = [np.zeros(n, dtype=bool) for _ in states]
     cross = [np.zeros(n) for _ in states]
-    for rank in dict.fromkeys(ranks.tolist()):
-        pairs = np.flatnonzero(ranks == rank)
-        # the support is the last columns, contiguous as in _stack_values
-        V = np.ascontiguousarray(dec.eigenvectors[pairs][..., dim - rank :])
+    for rank, pairs in _rank_groups(dec.eigenvalues):
+        V = _support(dec.eigenvectors, pairs, rank)
         Vh = V.conj().swapaxes(-1, -2)
         compressed = [Vh @ state[pairs] @ V for state in states]
         for state_c, use, ins in zip(compressed, used, inside):
@@ -108,8 +132,7 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     for state, use, ins, out in zip(states, used, inside, cross):
         value = np.where(use, np.inf, 0.0)
         if ins.any():
-            lams = _psd_spectra(state[ins], memo)[0].eigenvalues
-            xlogx = np.array([_sum_xlogx(lam) for lam in lams])
+            xlogx = _sum_xlogx(_psd_spectra(state[ins], memo)[0].eigenvalues)
             value[ins] = _clamp_entropy(xlogx - out[ins])
         values.append(value)
     return values
@@ -181,9 +204,19 @@ def _compress(V, rho, sigma) -> tuple[np.ndarray, np.ndarray]:
     return Vh @ rho @ V, Vh @ sigma @ V
 
 
-def _limit(rho, V) -> float:
-    """1 - tr rho P with P = V V* the projector onto the columns of V."""
-    return _clamp_entropy(1.0 - float(np.real(np.trace(rho @ (V @ V.conj().T)))))
+def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
+    """1 - tr rho P per pair of a stack, P = V V* the projector onto the
+    support of the matching cut spectrum of ``dec``.
+
+    One stacked product per support rank; each element is the one-pair
+    value bit for bit.
+    """
+    traces = np.empty(len(states))
+    for rank, rows in _rank_groups(dec.eigenvalues):
+        V = _support(dec.eigenvectors, rows, rank)
+        P = V @ V.conj().swapaxes(-1, -2)
+        traces[rows] = np.trace(states[rows] @ P, axis1=1, axis2=2).real
+    return _clamp_entropy(1.0 - traces)
 
 
 def _cross_terms(rho_c, sig_c, a) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +245,8 @@ def _pair_value(rho, sigma, a: float) -> float:
         return tre_limit_one(rho, sigma)
     rho_c, sig_c = _compress(support_basis((rho + sigma) / 2.0), rho, sigma)
     (cross,), (neg_log,) = _cross_terms(rho_c[None], sig_c[None], np.array([a]))
-    return float(_ratio(_sum_xlogx(_psd_spectrum(rho)[0].eigenvalues), cross, neg_log))
+    (xlogx,) = _sum_xlogx(_psd_spectrum(rho)[0].eigenvalues[None])
+    return float(_ratio(xlogx, cross, neg_log))
 
 
 def _stack_values(rho, sigma, grid) -> np.ndarray:
@@ -229,30 +263,28 @@ def _stack_values(rho, sigma, grid) -> np.ndarray:
     """
     values = np.empty(grid.shape)
     for end, state, other in ((0.0, rho, sigma), (1.0, sigma, rho)):
-        rows = np.flatnonzero((grid == end).any(axis=1))
+        at_end = grid == end
+        rows = np.flatnonzero(at_end.any(axis=1))
         if rows.size:
-            dec, _ = _psd_spectra(other[rows])
-            for i, lam, U in zip(rows, dec.eigenvalues, dec.eigenvectors):
-                values[i, grid[i] == end] = _limit(state[i], U[:, lam > 0.0])
+            limits = np.empty(len(rho))
+            limits[rows] = _limits(state[rows], _psd_spectra(other[rows])[0])
+            i, k = np.nonzero(at_end)
+            values[i, k] = limits[i]
     interior = (grid > 0.0) & (grid < 1.0)
     rows = np.flatnonzero(interior.any(axis=1))
     if not rows.size:
         return values
     dec, _ = _psd_spectra((rho[rows] + sigma[rows]) / 2.0)
-    ranks = np.count_nonzero(dec.eigenvalues > 0.0, axis=1)
     cross, neg_log = np.empty((2, *grid.shape))
-    for rank in dict.fromkeys(ranks.tolist()):
-        group = ranks == rank
+    for rank, group in _rank_groups(dec.eigenvalues):
         pairs = rows[group]
-        # eigenvalues ascend, so the support is the last columns; contiguous
-        # like support_basis, as BLAS may round a strided operand differently
-        V = np.ascontiguousarray(dec.eigenvectors[group][..., rho.shape[-1] - rank :])
+        V = _support(dec.eigenvectors, group, rank)
         rho_c, sig_c = _compress(V, rho[pairs], sigma[pairs])
         j, k = np.nonzero(interior[pairs])
         i = pairs[j]
         cross[i, k], neg_log[i, k] = _cross_terms(rho_c[j], sig_c[j], grid[i, k])
     xlogx = np.empty(len(rho))
-    xlogx[rows] = [_sum_xlogx(lam) for lam in _psd_spectra(rho[rows])[0].eigenvalues]
+    xlogx[rows] = _sum_xlogx(_psd_spectra(rho[rows])[0].eigenvalues)
     i, k = np.nonzero(interior)
     values[i, k] = _ratio(xlogx[i], cross[i, k], neg_log[i, k])
     return values
@@ -264,7 +296,7 @@ def tre_limit_zero(rho, sigma) -> float:
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
     rho, sigma = _as_pair(rho, sigma)
-    return _limit(rho, support_basis(sigma))
+    return float(_limits(rho[None], _psd_spectra(sigma[None], memo=True)[0])[0])
 
 
 def tre_limit_one(rho, sigma) -> float:

@@ -12,6 +12,14 @@ Trials are independent and derive their RNG streams as
 seed and any trial can be replayed in isolation.  ``replay_witness``
 evaluates a serialized witness as a one-trial block of the sweep's own
 code, so its margin is the recorded one by construction.
+
+The sweep works in blocks of trials.  Each quantity of a block is one
+stacked call, each check's margins are one array in record order (trial,
+then p, then a), and ``CheckStats.reduce`` takes that array in one step,
+building a witness only for a new worst margin.  Every margin function
+is the one formula of its check, on floats or on arrays; the terms that
+depend only on the a- and p-grids are taken with Python's math, once per
+grid point.
 """
 
 from __future__ import annotations
@@ -107,19 +115,32 @@ class CheckStats:
     worst_margin: float = math.inf
     witness: dict | None = None
 
-    def record(self, margin: float, witness: dict) -> None:
-        self.trials += 1
-        # a NaN margin fails too
-        if not margin >= -self.tolerance:
-            self.failures += 1
-        if margin < _NEAR_EQUALITY:
-            self.near_equalities += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-            witness = dict(witness)
-            witness["check"] = self.name
-            witness["margin"] = margin
-            self.witness = witness
+    def reduce(self, margins, witness) -> None:
+        """Record one block's margins, given as an array in record order.
+
+        ``witness(i)`` builds the witness of the margin at flat index i; it
+        is called only for a new worst margin.  A NaN margin fails.  The
+        block's worst margin is the first of its smallest margins that are
+        not NaN, and it replaces the check's worst margin when smaller, a
+        NaN worst counting as +inf.  A check without a witness that meets
+        no margin below +inf takes the block's first NaN margin as its
+        witness, so a failure by NaN can be named and replayed.
+        """
+        m = np.asarray(margins, dtype=float).ravel()
+        self.trials += m.size
+        self.failures += int(np.count_nonzero(~(m >= -self.tolerance)))
+        self.near_equalities += int(np.count_nonzero(m < _NEAR_EQUALITY))
+        if not m.size:
+            return
+        nan = np.isnan(m)
+        i = int(np.argmin(np.where(nan, np.inf, m)))
+        worst = math.inf if math.isnan(self.worst_margin) else self.worst_margin
+        if not m[i] < worst:
+            if self.witness is not None or not nan.any():
+                return
+            i = int(np.argmax(nan))
+        self.worst_margin = float(m[i])
+        self.witness = dict(witness(i), check=self.name, margin=self.worst_margin)
 
 
 @dataclass
@@ -158,10 +179,14 @@ class VerificationReport:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def richardson(hs, values) -> float:
-    """Neville extrapolation of values(h) to h = 0."""
+def richardson(hs, values):
+    """Neville extrapolation of values(h) to h = 0.
+
+    ``values`` holds floats, or arrays of one shape for one extrapolation
+    per element; the node terms are Python floats.
+    """
     h = [float(x) for x in hs]
-    v = [float(x) for x in values]
+    v = list(values)
     n = len(v)
     if n < 2 or len(h) != n:
         raise ValueError("need matching node/value lists of length >= 2")
@@ -172,62 +197,90 @@ def richardson(hs, values) -> float:
 
 
 # --------------------------------------------------------------------------
-# margin functions: each is the checked statement rewritten as margin >= 0
+# margin functions: each is the checked statement rewritten as margin >= 0.
+# Values may be floats or arrays that broadcast against each other.
 # --------------------------------------------------------------------------
 
-def check_range(sa: float) -> float:
+def _grid_terms(f, *grids):
+    """f of Python floats at each point of the broadcast grids.
+
+    Terms that depend only on the a- or p-grid (-log a, 2(1-a)^2, a**p,
+    h(p)) are taken with Python's math, once per distinct point, so each
+    is the term of the formula on floats; numpy's array functions may
+    round the last bit differently.  Scalars give one value, arrays an
+    array of their broadcast shape.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in grids))
+    points = list(zip(*(x.ravel().tolist() for x in arrays)))
+    terms = {point: f(*point) for point in dict.fromkeys(points)}
+    values = [terms[point] for point in points]
+    if arrays[0].ndim == 0:
+        return values[0]
+    return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+
+def _first_min(x, y):
+    """min(x, y) elementwise as Python's min takes it: x unless y < x."""
+    return np.where(y < x, y, x)[()]
+
+
+def check_range(sa):
     """min(S_a, 1 - S_a): the value stays inside [0, 1]."""
-    return min(sa, 1.0 - sa)
+    return _first_min(sa, 1.0 - sa)
 
 
-def check_upper_T(sa: float, t: float) -> float:
+def check_upper_T(sa, t):
     """T - S_a: the trace norm distance dominates."""
     return t - sa
 
 
-def check_lower_pinsker(a: float, sa: float, t: float) -> float:
+def check_lower_pinsker(a, sa, t):
     """S_a - 2 (1-a)^2 T^2 / (-log a): the telescoped Pinsker bound."""
-    return sa - 2.0 * (1.0 - a) ** 2 * t * t / (-math.log(a))
+    scale = _grid_terms(lambda x: 2.0 * (1.0 - x) ** 2, a)
+    return sa - scale * t * t / _grid_terms(lambda x: -math.log(x), a)
 
 
-def check_holevo(p: float, chi: float, t: float) -> float:
+def check_holevo(p, chi, t):
     """h(p) T - chi: the sharpened two-state ensemble bound."""
-    return binary_entropy(p) * t - chi
+    return _grid_terms(binary_entropy, p) * t - chi
 
 
-def check_holevo_paths(chi: float, chi_relative: float) -> float:
+def check_holevo_paths(chi, chi_relative):
     """-|chi via entropies - chi via relative entropies| (path equality)."""
     return -abs(chi - chi_relative)
 
 
 def maximality_margin(rho, sigma, sa):
-    """Margin for the maximality characterisation, or None when untested.
+    """Margins for the maximality characterisation, and whether it applies.
 
     Orthogonal pairs must sit at 1 (margin -|S_a - 1|); pairs with overlap
-    tr rho sigma >= 0.1 must stay below 1 by a strict gap.  ``sa`` may be
-    an array of S_a values, for an array of margins from one test of the
-    pair.
+    tr rho sigma >= 0.1 must stay below 1 by a strict gap; other pairs are
+    not tested.  ``rho`` and ``sigma`` are one pair (d, d) with ``sa`` a
+    value or an array of S_a values, or N pairs (N, d, d) with ``sa`` of
+    shape (N, K).  Returns (tested, margins): a bool, or an (N,) mask, and
+    margins of the shape of ``sa``.
     """
-    if is_orthogonal(rho, sigma):
-        return -abs(sa - 1.0)
-    overlap = float(np.real(np.trace(np.asarray(rho) @ np.asarray(sigma))))
-    if overlap >= _OVERLAP_MIN:
-        return (1.0 - _STRICT_GAP) - sa
-    return None
+    orthogonal = is_orthogonal(rho, sigma)
+    overlap = np.trace(np.asarray(rho) @ np.asarray(sigma), axis1=-2, axis2=-1).real
+    tested = orthogonal | (overlap >= _OVERLAP_MIN)
+    if np.ndim(orthogonal):
+        orthogonal = orthogonal[:, None]
+    return tested, np.where(orthogonal, -abs(sa - 1.0), (1.0 - _STRICT_GAP) - sa)[()]
 
 
-def check_trre_bound(q: float, t: float) -> float:
+def check_trre_bound(q, t):
     """T - Q_{p,a}: the trace norm distance dominates the TRRE."""
     return t - q
 
 
-def check_trre_overlap(p: float, a: float, overlap: float) -> float:
+def check_trre_overlap(p, a, overlap):
     """min(overlap - a^p, 1 - overlap): the telescoped overlap range."""
-    return min(overlap - a**p, 1.0 - overlap)
+    return _first_min(overlap - _grid_terms(pow, a, p), 1.0 - overlap)
 
 
 def _joint_mixture(pairs, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(sum w_i rho_i, sum w_i sigma_i)."""
+    """(sum w_i rho_i, sum w_i sigma_i); stacks of pairs take weights that
+    broadcast against them."""
     rho_mix = sum(w * np.asarray(r, dtype=complex) for w, (r, _) in zip(weights, pairs))
     sig_mix = sum(w * np.asarray(s, dtype=complex) for w, (_, s) in zip(weights, pairs))
     return rho_mix, sig_mix
@@ -243,17 +296,20 @@ def check_joint_convexity(weights, values, mixed: float) -> float:
     return avg - mixed
 
 
-def check_limit_closed_forms(values, s0: float, s1: float) -> dict[str, float]:
+def check_limit_closed_forms(values, s0, s1) -> dict:
     """Richardson-extrapolated endpoint limits against the closed forms.
 
     The two finest log-spaced nodes extrapolate S_a to a -> 0 (linearly in
     1/|log a|) and to a -> 1 (linearly in 1-a); all nodes feed a Cauchy
     test that successive differences shrink, i.e. the limits exist.
-    ``values`` holds S_a at the nodes, ``LIMIT_NODES_ZERO`` then
-    1 - ``LIMIT_NODES_ONE``, and ``s0``, ``s1`` the closed-form limits.
-    Returns margins keyed "limit_zero", "limit_one", "limit_cauchy" where
-    the limit margins are minus the extrapolation discrepancy.
+    ``values`` holds S_a at the nodes along its last axis,
+    ``LIMIT_NODES_ZERO`` then 1 - ``LIMIT_NODES_ONE``, and ``s0``, ``s1``
+    the closed-form limits, for one pair or as arrays for many.  Returns
+    margins keyed "limit_zero", "limit_one", "limit_cauchy" where the limit
+    margins are minus the extrapolation discrepancy.
     """
+    # the nodes on the first axis
+    values = np.asarray(values, dtype=float).T
     v0, v1 = values[: len(LIMIT_NODES_ZERO)], values[len(LIMIT_NODES_ZERO) :]
     h0 = [-1.0 / math.log(a) for a in LIMIT_NODES_ZERO[-2:]]
     ex0 = richardson(h0, v0[-2:])
@@ -263,7 +319,7 @@ def check_limit_closed_forms(values, s0: float, s1: float) -> dict[str, float]:
     return {
         "limit_zero": -abs(ex0 - s0),
         "limit_one": -abs(ex1 - s1),
-        "limit_cauchy": min(cauchy0, cauchy1),
+        "limit_cauchy": _first_min(cauchy0, cauchy1),
     }
 
 
@@ -305,75 +361,91 @@ def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> li
 
 
 def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
-    """Evaluate drawn trials and record every check, in trial order.
+    """Evaluate drawn trials and record every check.
 
     Every quantity of the block comes from one stacked call each, made
     inside one ``_block_spectra`` scope, so the calls share the spectra of
     rho, sigma and the Holevo mixtures.  The closed forms S_0 and S_1 are
     the a = 0 and a = 1 cells of the first S_a call.  A trial's joint
     convexity a and Holevo p are picked from the grids by its index within
-    its dimension.
+    its dimension.  Each check's margins are one array in record order
+    (trial, then p, then a), reduced by its ``CheckStats`` in one step, so
+    ties keep the first witness.
     """
-    n_a = len(a_grid)
+    n, n_a, n_p = len(draws), len(a_grid), len(p_grid)
     trials, bases, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
-    rhos = [base["rho"] for base in bases]
-    sigmas = [base["sigma"] for base in bases]
-    jc_weights = [(w, 1.0 - w) for w in weights]
-    mixtures = [
-        _joint_mixture([(r, s), (r2, s2)], w)
-        for r, s, r2, s2, w in zip(rhos, sigmas, rhos2, sigmas2, jc_weights)
-    ]
     a_jc = [a_grid[trial % n_a] for trial in trials]
-    p_h = [p_grid[trial % len(p_grid)] for trial in trials]
+    p_h = [p_grid[trial % n_p] for trial in trials]
+    rho = np.stack([base["rho"] for base in bases])
+    sigma = np.stack([base["sigma"] for base in bases])
+    rho2, sigma2 = np.stack(rhos2), np.stack(sigmas2)
+    w = np.array(weights)
+    jc_weights = (w, 1.0 - w)
+    mixed = _joint_mixture(
+        [(rho, sigma), (rho2, sigma2)], [x[:, None, None] for x in jc_weights]
+    )
 
-    pairs = np.stack(rhos), np.stack(sigmas)
     with _block_spectra():
-        sa = telescopic_relative_entropy(*pairs, a_grid + _LIMIT_A + (0.0, 1.0)).tolist()
-        overlaps = _overlap_grid(*pairs, p_grid, a_grid).tolist()
+        sa = telescopic_relative_entropy(rho, sigma, a_grid + _LIMIT_A + (0.0, 1.0))
+        overlaps = _overlap_grid(rho, sigma, p_grid, a_grid)
         # the joint convexity call takes the second pairs, then the mixed pairs
         jc_sa = telescopic_relative_entropy(
-            np.stack(rhos2 + [m[0] for m in mixtures]),
-            np.stack(sigmas2 + [m[1] for m in mixtures]),
+            np.concatenate([rho2, mixed[0]]),
+            np.concatenate([sigma2, mixed[1]]),
             np.array(a_jc + a_jc)[:, None],
-        )[:, 0].tolist()
-        ts = trace_norm_distance(*pairs).tolist()
-        chis = holevo_two(np.array(p_h), *pairs).tolist()
-        chis_relative = holevo_two_via_relative(np.array(p_h), *pairs).tolist()
+        )[:, 0]
+        t = trace_norm_distance(rho, sigma)
+        chi = holevo_two(np.array(p_h), rho, sigma)
+        chi_relative = holevo_two_via_relative(np.array(p_h), rho, sigma)
 
-    for b, (trial, base) in enumerate(zip(trials, bases)):
-        rho, sigma = base["rho"], base["sigma"]
-        t = ts[b]
+    def of_trial(b):
+        return dict(bases[b])
 
-        sa_grid = sa[b][:n_a]
-        mmax = maximality_margin(rho, sigma, np.array(sa_grid))
-        for k, (a, s_a) in enumerate(zip(a_grid, sa_grid)):
-            wit = dict(base, a=a)
-            checks["range"].record(check_range(s_a), wit)
-            checks["upper_T"].record(check_upper_T(s_a, t), wit)
-            checks["lower_pinsker"].record(check_lower_pinsker(a, s_a, t), wit)
-            if mmax is not None:
-                checks["maximality"].record(float(mmax[k]), wit)
+    def at_a(b, k):
+        return dict(bases[b], a=a_grid[k])
 
-        wit = dict(base, p=p_h[b])
-        checks["holevo"].record(check_holevo(p_h[b], chis[b], t), wit)
-        checks["holevo_paths"].record(check_holevo_paths(chis[b], chis_relative[b]), wit)
+    def cell(i):
+        return at_a(*divmod(i, n_a))
 
-        for p, row in zip(p_grid, overlaps[b]):
-            for a, overlap in zip(a_grid, row):
-                q = (1.0 - overlap) / (1.0 - a**p)
-                wit = dict(base, p=p, a=a)
-                checks["trre_bound"].record(check_trre_bound(q, t), wit)
-                checks["trre_overlap"].record(check_trre_overlap(p, a, overlap), wit)
+    def tested_cell(i):
+        return at_a(rows[i // n_a], i % n_a)
 
-        a = a_jc[b]
-        wit = dict(base, a=a, weight=weights[b], rho2=rhos2[b], sigma2=sigmas2[b])
-        values = [sa[b][a_grid.index(a)], jc_sa[b]]
-        margin = check_joint_convexity(jc_weights[b], values, jc_sa[len(draws) + b])
-        checks["joint_convexity"].record(margin, wit)
+    def at_p(b):
+        return dict(bases[b], p=p_h[b])
 
-        *nodes, s0, s1 = sa[b][n_a:]
-        for name, margin in check_limit_closed_forms(nodes, s0, s1).items():
-            checks[name].record(margin, dict(base))
+    def trre_cell(i):
+        b, j, k = np.unravel_index(i, overlaps.shape)
+        return dict(at_a(b, k), p=p_grid[j])
+
+    def with_second_pair(b):
+        return dict(bases[b], a=a_jc[b], weight=weights[b], rho2=rhos2[b], sigma2=sigmas2[b])
+
+    sa_grid, t_col = sa[:, :n_a], t[:, None]
+    a, p = np.array(a_grid), np.array(p_grid)[:, None]
+    jc_values = [sa_grid[np.arange(n), np.array(trials) % n_a], jc_sa[:n]]
+    # margins of non-finite values are NaN or infinite, and fail, without a warning
+    with np.errstate(invalid="ignore"):
+        tested, maximality = maximality_margin(rho, sigma, sa_grid)
+        rows = np.flatnonzero(tested)
+        q = (1.0 - overlaps) / (1.0 - _grid_terms(pow, a, p))
+        margins = {
+            "range": (check_range(sa_grid), cell),
+            "upper_T": (check_upper_T(sa_grid, t_col), cell),
+            "lower_pinsker": (check_lower_pinsker(a, sa_grid, t_col), cell),
+            "maximality": (maximality[rows], tested_cell),
+            "holevo": (check_holevo(np.array(p_h), chi, t), at_p),
+            "holevo_paths": (check_holevo_paths(chi, chi_relative), at_p),
+            "trre_bound": (check_trre_bound(q, t[:, None, None]), trre_cell),
+            "trre_overlap": (check_trre_overlap(p, a, overlaps), trre_cell),
+            "joint_convexity": (
+                check_joint_convexity(jc_weights, jc_values, jc_sa[n:]),
+                with_second_pair,
+            ),
+        }
+        limits = check_limit_closed_forms(sa[:, n_a:-2], sa[:, -2], sa[:, -1])
+    margins.update((name, (limit, of_trial)) for name, limit in limits.items())
+    for name, (margin, witness) in margins.items():
+        checks[name].reduce(margin, witness)
 
 
 def _fresh_checks(slack: float) -> dict[str, CheckStats]:

@@ -8,7 +8,6 @@ from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
 )
-from telent.tre import tre_limit_one, tre_limit_zero
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -75,12 +74,19 @@ def _reference_clamp(value):
     return 0.0 if -1e-10 <= value < 0.0 else value
 
 
+def reference_limit(rho, sigma):
+    """1 - tr rho {sigma}, the a -> 0 limit, with the projector built whole."""
+    lam, U, _ = reference_psd_spectrum(sigma)
+    V = U[:, lam > 0.0]
+    return _reference_clamp(1.0 - float(np.real(np.trace(rho @ (V @ V.conj().T)))))
+
+
 def reference_sa(rho, sigma, a):
     """S_a of one pair at one a, step by step as the single-pair code does it."""
     if a == 0.0:
-        return tre_limit_zero(rho, sigma)
+        return reference_limit(rho, sigma)
     if a == 1.0:
-        return tre_limit_one(rho, sigma)
+        return reference_limit(sigma, rho)
     lam, U, _ = reference_psd_spectrum((rho + sigma) / 2.0)
     V = U[:, lam > 0.0]
     rho_c = V.conj().T @ rho @ V

@@ -208,6 +208,7 @@ class TestVerifyCommand:
         assert main(["verify", f"--slack={slack}"]) == 2
         assert capsys.readouterr().err == f"error: slack must be finite, got {float(slack)}\n"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_margin_exits_one_with_report(self, bad, tmp_path, capsys, monkeypatch):
         right = tre.telescopic_relative_entropy
@@ -222,7 +223,9 @@ class TestVerifyCommand:
         assert doc["passed"] is False
         st = doc["checks"]["range"]
         assert st["failures"] == st["trials"] > 0 and st["worst_margin"] is None
-        assert st["witness"] is None or st["witness"]["margin"] is None
+        # a NaN failure still names its first trial, and -inf its worst
+        assert st["witness"]["check"] == "range" and st["witness"]["margin"] is None
+        assert st["witness"]["trial"] == 0 and st["witness"]["a"] == 0.1
         assert "FAIL range" in capsys.readouterr().out
 
     def test_fixed_seed_reports_identical(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from telent import verify
 from telent.matfun import (
     _BLOCK_STORE,
     _block_spectra,
+    _decompose_stack,
     _hermitian_stack,
     _psd_spectra,
     _psd_spectrum,
@@ -131,6 +132,14 @@ class TestSupportProjector:
         # below the rank cutoff but far above -dim * TOL_HERM * lambda_max
         assert support_basis(np.diag([-1e-13, 1.0])).shape[1] == 1
         assert support_basis(np.diag([1e-6, 1.0])).shape[1] == 2
+
+    def test_first_matrix_that_is_not_psd_is_named(self):
+        H = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2]), np.diag([1.6, -0.6])])
+        with pytest.raises(ValueError) as excinfo:
+            _decompose_stack(H.astype(complex))
+        assert str(excinfo.value) == (
+            "matrix is not positive semidefinite: eigenvalue -2.000000e-01 below -2.400e-10"
+        )
 
 
 class TestSpectrumMemo:

@@ -11,11 +11,12 @@ from helpers import (
     random_pd,
     reference_holevo,
     reference_holevo_relative,
+    reference_limit,
     reference_sa,
 )
 from telent import matfun
 from telent.renyi import _overlap_grid
-from telent.matfun import _psd_spectrum_of_bytes, support_basis, trace_norm_distance
+from telent.matfun import _psd_spectra, _psd_spectrum_of_bytes, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
     qubit_pair_with_angle,
@@ -25,6 +26,8 @@ from telent.states import (
 )
 from telent.verify import FuzzConfig, run_fuzz
 from telent.tre import (
+    _limits,
+    _sum_xlogx,
     binary_entropy,
     holevo_two,
     holevo_two_via_relative,
@@ -292,6 +295,46 @@ class TestStackedKernel:
         with pytest.raises(ValueError) as excinfo:
             telescopic_relative_entropy(rho, sigma, a)
         assert str(excinfo.value) == message
+
+
+def _states_of_every_rank(rng, dim, per_rank=3):
+    """A shuffled stack of ``per_rank`` states of each rank 1 to dim, and as
+    many zero matrices (rank 0)."""
+    states = [np.zeros((dim, dim), dtype=complex)] * per_rank
+    states += [random_mixed_hs(dim, r, rng) for r in range(1, dim + 1) for _ in range(per_rank)]
+    return np.stack([states[i] for i in rng.permutation(len(states))])
+
+
+class TestRankGroupKernels:
+    """Each rank group's stacked kernel gives every row the bits of the
+    one-row computation, at dimensions on both sides of numpy's pairwise
+    summation switch at 8 elements."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 12, 16, 64])
+    def test_sum_xlogx_is_the_per_row_sum(self, dim):
+        lam = _psd_spectra(_states_of_every_rank(np.random.default_rng(dim), dim))[0].eigenvalues
+        ranks = np.count_nonzero(lam > 0.0, axis=1)
+        assert set(ranks.tolist()) == set(range(dim + 1))
+        reference = []
+        for row in lam:
+            pos = row[row > 0.0]
+            reference.append(float(np.sum(pos * np.log(pos))))
+        assert _sum_xlogx(lam).tobytes() == np.array(reference).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 12, 16, 64])
+    def test_stacked_limits_are_the_one_pair_limits(self, dim):
+        rng = np.random.default_rng(dim)
+        sigma = _states_of_every_rank(rng, dim)[: 2 * dim]
+        rho = np.stack([random_mixed_hs(dim, int(rng.integers(1, dim + 1)), rng) for _ in sigma])
+        stacked = _limits(rho, _psd_spectra(sigma)[0])
+        one_pair = [tre_limit_zero(r, s) for r, s in zip(rho, sigma)]
+        reference = [reference_limit(r, s) for r, s in zip(rho, sigma)]
+        assert stacked.tobytes() == np.array(one_pair).tobytes()
+        assert stacked.tobytes() == np.array(reference).tobytes()
+        # the a = 0 and a = 1 cells of a stacked S_a call
+        ends = telescopic_relative_entropy(rho, sigma, [0.0, 1.0])
+        at_one = [tre_limit_one(r, s) for r, s in zip(rho, sigma)]
+        assert ends.tobytes() == np.array([one_pair, at_one]).T.tobytes()
 
 
 class TestLimits:

@@ -18,6 +18,7 @@ from telent.tre import (
     tre_limit_zero,
 )
 from telent.verify import (
+    CheckStats,
     FuzzConfig,
     check_holevo,
     check_holevo_paths,
@@ -107,7 +108,9 @@ class TestCheckMargins:
         assert _replay("holevo", r, s, p=0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximality(self, rng):
-        assert maximality_margin(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.75) == -0.25
+        assert maximality_margin(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.75) == (True, -0.25)
+        # overlap 0.095: neither orthogonal nor above the probe threshold
+        assert not maximality_margin(np.diag([0.95, 0.05]), np.diag([0.05, 0.95]), 0.5)[0]
         r, s = random_orthogonal_pair(3, rng)
         assert _replay("maximality", r, s, a=0.5) == pytest.approx(0.0, abs=1e-10)
         rho = random_mixed_hs(2, 2, rng)
@@ -193,6 +196,79 @@ class TestCheckMargins:
         assert check_limit_closed_forms(values, t2, t2)["limit_cauchy"] == 0.0
         assert _replay("limit_zero", r, s) >= -1e-3
         assert _replay("limit_one", r, s) >= -1e-3
+
+
+def _reference_reduce(tolerance, blocks):
+    """The block reduction as a plain loop over every margin in record order.
+
+    Returns the counts, the worst margin and the (block, index) of its
+    witness: the first smallest margin that is not NaN, a NaN worst
+    counting as +inf, or else the first NaN.
+    """
+    trials = failures = near = 0
+    worst, where = math.inf, None
+    for b, margins in enumerate(blocks):
+        for i, m in enumerate(np.ravel(margins).tolist()):
+            trials += 1
+            failures += not m >= -tolerance
+            near += m < 1e-4
+            current = math.inf if math.isnan(worst) else worst
+            if m < current or (math.isnan(m) and where is None):
+                worst, where = m, (b, i)
+    return trials, failures, near, worst, where
+
+
+def _assert_reduces_like_the_loop(blocks):
+    stats = CheckStats("check", tolerance=1e-9)
+    for b, margins in enumerate(blocks):
+        stats.reduce(np.array(margins, dtype=float), lambda i, b=b: {"at": (b, i)})
+    trials, failures, near, worst, where = _reference_reduce(1e-9, blocks)
+    assert (stats.trials, stats.failures, stats.near_equalities) == (trials, failures, near)
+    # bit for bit, NaN and the sign of zero included
+    assert np.float64(stats.worst_margin).tobytes() == np.float64(worst).tobytes()
+    if where is None:
+        assert stats.witness is None
+    else:
+        assert stats.witness["at"] == where and stats.witness["check"] == "check"
+        assert np.float64(stats.witness["margin"]).tobytes() == np.float64(worst).tobytes()
+
+
+nan, inf = math.nan, math.inf
+
+
+class TestBlockReduction:
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[0.3, -0.2, 0.1, -0.2], [-0.2, 0.5]],
+            [[0.0, -0.0, 0.5], [-0.0, 0.0]],
+            [[-0.0, 0.0], [0.0]],
+            [[nan, nan], [nan, 0.2], [inf, -0.1]],
+            [[nan, inf], [inf], [5.0]],
+            [[nan], [nan, -inf, -inf], [nan]],
+            [[inf, inf], [inf, -inf, -inf]],
+            [[inf], [nan]],
+            [[], [nan, 1e-5], []],
+            [[[-1e-9, 2e-9], [-1e-9, nan]], [[3.0, -inf]]],
+        ],
+    )
+    def test_matches_a_plain_loop(self, blocks):
+        _assert_reduces_like_the_loop(blocks)
+
+    def test_random_blocks_match_a_plain_loop(self):
+        rng = np.random.default_rng(17)
+        values = np.array([-1.0, -1e-9, -0.0, 0.0, 1e-5, 1.0, nan, inf, -inf])
+        for _ in range(200):
+            _assert_reduces_like_the_loop(
+                [rng.choice(values, size=int(rng.integers(0, 6))) for _ in range(3)]
+            )
+
+    def test_witness_built_only_for_a_new_worst(self):
+        built = []
+        stats = CheckStats("check", tolerance=0.0)
+        for margins in ([0.5, 0.2, 0.2], [0.3, 0.4], [0.1]):
+            stats.reduce(np.array(margins), lambda i: built.append(i) or {})
+        assert built == [1, 0]
 
 
 class TestRunFuzz:
@@ -353,10 +429,22 @@ class TestWorkCount:
                     lambda rho, sigma, _f=f: limit_calls.append(1) or _f(rho, sigma),
                     raising=False,
                 )
+        reductions, built = [], []
+        reduce = verify.CheckStats.reduce
+        monkeypatch.setattr(
+            verify.CheckStats,
+            "reduce",
+            lambda self, margins, witness: reductions.append(self.name)
+            or reduce(self, margins, lambda i: built.append(1) or witness(i)),
+        )
         config = FuzzConfig(dims=(2, 3, 4), trials=16, seed=5)
         report = run_fuzz(config)
         trials = len(config.dims) * config.trials
         blocks = len(config.dims)
+        # each check reduces one margin array per block, and builds a
+        # witness only for a new worst margin: no per-trial records
+        assert sorted(reductions) == sorted(list(report.checks) * blocks)
+        assert len(built) <= len(reductions)
         # Each dimension is one block here, and a block takes every spectrum
         # from stacked eigh calls that share one store, so rho, sigma and the
         # Holevo mixture are decomposed once per trial.  eigh matrices per
