@@ -8,9 +8,15 @@ and writes, per run, its stdout to ``NAME.out``, its stderr to
 ``NAME.err`` and its exit code to ``exit_codes.txt``:
 
 * ``telent verify`` for a set of sizes (d = 2 to 64), seeds and slacks,
-  among them a forced failure (negative slack), a known ``limit_zero``
-  failure and a known ``limit_one`` failure, where roundoff gives a
-  rank-one ``rho`` a second eigenvalue just above the rank cutoff;
+  among them a forced failure (negative slack); five knife-edge seeds,
+  where roundoff gives a low-rank state an eigenvalue just above
+  ``dim * 2^-52 * lambda_max``, which failed ``limit_zero`` or
+  ``limit_one`` until the rank cut became ``max(dim, 16) * 2^-52 *
+  lambda_max`` (1423786839, 2451294897, and 2098274950, 2721176236 and
+  254804234, which are ops 1072, 1096 and 1355 of ``fuzz_small_d`` with
+  benchmark seeds 1744, 1749 and 1750); and the near-singular-sigma seed
+  2213080472, which fails ``limit_zero`` because its extrapolation nodes
+  are not far below the smallest eigenvalue of sigma;
 * ``telent figure FIG --points N`` for every figure at N = 1001, 2 and 3:
   at 2 the fig2a/fig2b grid has endpoints only, and fig1a has joint
   supports of ranks 1 and 2 in one call;
@@ -53,6 +59,10 @@ VERIFY_RUNS = {
     "verify_trials100_seed3_slack-1": ["--trials", "100", "--seed", "3", "--slack", "-1"],
     "verify_trials16_seed1423786839": ["--trials", "16", "--seed", "1423786839"],
     "verify_trials16_seed2451294897": ["--trials", "16", "--seed", "2451294897"],
+    "verify_trials16_seed2098274950": ["--trials", "16", "--seed", "2098274950"],
+    "verify_trials16_seed2721176236": ["--trials", "16", "--seed", "2721176236"],
+    "verify_trials16_seed254804234": ["--trials", "16", "--seed", "254804234"],
+    "verify_trials16_seed2213080472": ["--trials", "16", "--seed", "2213080472"],
 }
 
 FIGURE_SMALL_POINTS = (2, 3)

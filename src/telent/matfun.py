@@ -22,9 +22,20 @@ import numpy as np
 # Hermiticity tolerance for validating inputs (entrywise).
 TOL_HERM = 1e-10
 
-# Numerical-rank epsilon per dimension: eigenvalues of a PSD matrix at or
-# below dim * _EPS_RANK * lambda_max are treated as exact zeros.
+# Unit of the two spectral levels of a PSD matrix below, relative to its
+# lambda_max.
 _EPS_RANK = 2.0**-52
+# The rank cut: eigenvalues at or below
+# max(dim, _RANK_CUT_MIN_DIM) * _EPS_RANK * lambda_max are exact zeros.
+# eigh leaves 2-4 * _EPS_RANK * lambda_max of roundoff on a kernel
+# eigenvalue at every dim, which dim * _EPS_RANK alone hardly clears at
+# small dim; such a spurious eigenvalue adds a rank and moves a closed
+# form by O(1).
+_RANK_CUT_MIN_DIM = 16
+# The mixture floor, dim * _EPS_RANK * lambda_max, is the least eigenvalue
+# the log of a telescoped mixture takes (``tre._cross_terms``): genuine
+# mixture eigenvalues a * nu sink that low at deep a and must not count as
+# kernel there.
 
 # Relative gap below which divided differences switch to the midpoint
 # derivative to avoid catastrophic cancellation.
@@ -110,13 +121,13 @@ def _hermitian_stack(H) -> np.ndarray:
     return H
 
 
-def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
+def _psd_spectrum(A) -> tuple[SpectralDecomposition, np.ndarray]:
     """Decompose a PSD matrix with its numerical kernel set to exact zeros.
 
     ``_psd_spectra`` for one matrix: every eigenvalue at or below the rank
-    cutoff dim * 2**-52 * lambda_max becomes exactly 0, so
-    ``eigenvalues > 0`` masks the support.  Returns the decomposition and
-    the cutoff.
+    cut becomes exactly 0, so ``eigenvalues > 0`` masks the support.
+    Returns the decomposition and the uncut eigenvalues floored at the
+    mixture floor.
 
     Results are memoised on the exact bytes of the input as a complex
     array, so a matrix is decomposed once while it stays among the
@@ -135,16 +146,16 @@ def _psd_spectrum(A) -> tuple[SpectralDecomposition, float]:
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _psd_spectrum_of_bytes(
     shape: tuple[int, ...], data: bytes
-) -> tuple[SpectralDecomposition, float]:
+) -> tuple[SpectralDecomposition, np.ndarray]:
     H = np.frombuffer(data, dtype=complex).reshape(shape)
-    dec, cut = _read_only(_decompose_stack(H[None]))
-    return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0]), float(cut[0])
+    dec, floored = _read_only(_decompose_stack(H[None]))
+    return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0]), floored[0]
 
 
 def _read_only(spectra: tuple[SpectralDecomposition, np.ndarray]):
     """The spectra of ``_decompose_stack`` with their arrays made read-only."""
-    dec, cut = spectra
-    for array in (dec.eigenvalues, dec.eigenvectors, cut):
+    dec, floored = spectra
+    for array in (dec.eigenvalues, dec.eigenvectors, floored):
         array.flags.writeable = False
     return spectra
 
@@ -168,7 +179,8 @@ def _block_spectra():
 
 
 def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarray]:
-    """PSD spectra of a stack of matrices, shape (n, r, r), and the n cutoffs.
+    """PSD spectra of a stack of matrices, shape (n, r, r), with their
+    uncut eigenvalues floored at the mixture floor, shape (n, r).
 
     Each matrix gets the validation of ``_hermitian_stack`` (the first
     invalid one raises its error) and the kernel cut of ``_psd_spectrum``.
@@ -185,7 +197,7 @@ def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarr
     Rejection uses the looser level dim * TOL_HERM * lambda_max: inputs
     pass as Hermitian with entrywise asymmetry up to TOL_HERM, which alone
     moves eigenvalues that far, and eigh roundoff on a zero eigenvalue can
-    exceed the rank cutoff.  eigh on a stack returns per matrix the bits it
+    exceed the rank cut.  eigh on a stack returns per matrix the bits it
     returns for that matrix alone, so no value depends on the source or on
     what else is in the stack.
     """
@@ -198,9 +210,9 @@ def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarr
         return store[key]
     if memo:
         (h,) = H
-        dec, cut = _psd_spectrum(h)
+        dec, floored = _psd_spectrum(h)
         lam, U = dec.eigenvalues[None], dec.eigenvectors[None]
-        return SpectralDecomposition(lam, U), np.array([cut])
+        return SpectralDecomposition(lam, U), floored[None]
     return _decompose_stack(H)
 
 
@@ -219,9 +231,10 @@ def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
             f"matrix is not positive semidefinite: eigenvalue {float(lam[n, 0]):.6e} "
             f"below -{float(bound[n]):.3e}"
         )
-    cut = dim * _EPS_RANK * scale
-    lam[lam <= cut[:, None]] = 0.0
-    return SpectralDecomposition(lam, U), cut
+    floored = np.maximum(lam, (dim * _EPS_RANK * scale)[:, None])
+    rank_cut = max(dim, _RANK_CUT_MIN_DIM) * _EPS_RANK * scale
+    lam[lam <= rank_cut[:, None]] = 0.0
+    return SpectralDecomposition(lam, U), floored
 
 
 def support_basis(A) -> np.ndarray:
@@ -233,7 +246,7 @@ def support_basis(A) -> np.ndarray:
 def support_projector(A) -> np.ndarray:
     """Orthogonal projector onto the support of a PSD matrix.
 
-    The rank is the number of eigenvalues above the rank cutoff.
+    The rank is the number of eigenvalues above the rank cut.
     """
     V = support_basis(A)
     return V @ V.conj().T

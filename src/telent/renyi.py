@@ -40,7 +40,7 @@ def _clamped_trace(product: np.ndarray):
 def state_power(rho, q: float) -> np.ndarray:
     """rho**q on the spectrum of a PSD operator, 0 <= q <= 1.
 
-    Eigenvalues at or below the rank cutoff are treated as exact zeros;
+    Eigenvalues at or below the rank cut are treated as exact zeros;
     q = 0 returns the support projector.
     """
     if not 0.0 <= q <= 1.0:

@@ -3,6 +3,10 @@
 Includes the collinear ("telescoping") mixture a*rho + (1-a)*sigma, the
 orthogonality test, and the seeded samplers the verification engine uses
 (Haar-random pure states and Hilbert-Schmidt / Ginibre mixed states).
+Each sampler is the one-matrix case of a stacked builder (``_ginibre``,
+``_hs_states``, ``_pure_states``, ``_haar_frames``, ``_embed``), which
+the sweep's draw applies to whole blocks; a stack gives each matrix the
+bits it gets alone.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from .matfun import _as_pair, _psd_spectrum, check_hermitian
 
 # Absolute tolerance on tr(rho sigma) for declaring orthogonality; the
 # overlap of normalized states is scale-free, so this is independent of
-# the rank cutoff.
+# the rank cut.
 EPS_ORTH = 1e-12
 
 _TRACE_ATOL = 1e-10
@@ -31,11 +35,19 @@ def check_density(rho) -> np.ndarray:
 
 def pure_from_vector(v) -> np.ndarray:
     """Normalized rank-one projector v v* / <v, v>."""
-    v = np.asarray(v, dtype=complex).ravel()
-    ns = float(np.real(np.vdot(v, v)))
-    if ns == 0.0:
+    return _pure_states(np.asarray(v, dtype=complex).ravel()[None])[0]
+
+
+def _pure_states(v: np.ndarray) -> np.ndarray:
+    """v v* / <v, v> for each row of a stack of complex vectors (n, d).
+
+    The norms are taken with ``np.vdot`` one vector at a time: a stacked
+    norm may round the last bit differently.
+    """
+    ns = np.array([np.vdot(x, x).real for x in v])
+    if not ns.all():
         raise ValueError("cannot build a pure state from the zero vector")
-    return np.outer(v, v.conj()) / ns
+    return v[:, :, None] * v.conj()[:, None, :] / ns[:, None, None]
 
 
 def qubit_pair_with_angle(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -59,20 +71,42 @@ def telescope_mix(rho, sigma, a: float) -> np.ndarray:
     return a * rho + (1.0 - a) * sigma
 
 
+def _ginibre(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Complex Gaussian matrices (n, rows, cols) from the rows of normal
+    draws (n, 2 * rows * cols): the real parts, then the imaginary parts,
+    each row-major, as two draws of shape (rows, cols) give them."""
+    x = x.reshape(len(x), 2, rows, cols)
+    return x[:, 0] + 1j * x[:, 1]
+
+
+def _hs_states(G: np.ndarray) -> np.ndarray:
+    """G G* / tr(G G*) for a stack of Ginibre matrices (n, d, r)."""
+    M = G @ G.conj().swapaxes(-1, -2)
+    return M / np.trace(M, axis1=-2, axis2=-1).real[:, None, None]
+
+
+def _haar_frames(G: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the QR of a stack of square Ginibre matrices."""
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
+def _embed(V: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """V S V* for stacks of isometries (n, d, k) and states (n, k, k)."""
+    return V @ states @ V.conj().swapaxes(-1, -2)
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return _haar_frames(_ginibre(rng.standard_normal((1, 2 * dim * dim)), dim, dim))[0]
 
 
 def haar_random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unitarily invariant random pure state (normalized Gaussian vector)."""
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return pure_from_vector(v)
+    return _pure_states(_ginibre(rng.standard_normal((1, 2 * dim)), 1, dim)[:, 0])[0]
 
 
 def random_mixed_hs(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -83,9 +117,7 @@ def random_mixed_hs(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray
     """
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must lie in [1, {dim}], got {rank}")
-    G = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    M = G @ G.conj().T
-    return M / float(np.trace(M).real)
+    return _hs_states(_ginibre(rng.standard_normal((1, 2 * dim * rank)), dim, rank))[0]
 
 
 def random_orthogonal_pair(
@@ -94,13 +126,12 @@ def random_orthogonal_pair(
     """Two states supported on orthogonal subspaces of a Haar-random frame."""
     if dim < 2:
         raise ValueError("orthogonal pairs need dim >= 2")
-    U = haar_unitary(dim, rng)
+    U = haar_unitary(dim, rng)[None]
     k = int(rng.integers(1, dim))
-    A, B = U[:, :k], U[:, k:]
     ra = int(rng.integers(1, k + 1))
     rb = int(rng.integers(1, dim - k + 1))
-    rho = A @ random_mixed_hs(k, ra, rng) @ A.conj().T
-    sigma = B @ random_mixed_hs(dim - k, rb, rng) @ B.conj().T
+    rho = _embed(U[..., :k], random_mixed_hs(k, ra, rng)[None])[0]
+    sigma = _embed(U[..., k:], random_mixed_hs(dim - k, rb, rng)[None])[0]
     return rho, sigma
 
 

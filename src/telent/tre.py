@@ -169,7 +169,7 @@ def telescopic_relative_entropy(rho, sigma, a):
     compresses there and floors the mixture's eigenvalues at the spectral
     noise level.  That keeps the value finite and accurate even for
     telescoping parameters as extreme as 1e-11, where genuine mixture
-    eigenvalues a*nu sink below the relative rank cutoff and a support
+    eigenvalues a*nu sink below the relative rank cut and a support
     test would misclassify them.
     """
     grid = np.asarray(a, dtype=float)
@@ -223,12 +223,12 @@ def _cross_terms(rho_c, sig_c, a) -> tuple[np.ndarray, np.ndarray]:
     """tr rho_c log tau_c and -log a for n compressed pairs (n, r, r) at
     their interior a-values (n,).
 
-    The mixtures tau_c are decomposed in one stacked eigh and their
-    eigenvalues floored at the rank cutoff.
+    The mixtures tau_c are decomposed in one stacked eigh, and the log
+    takes their uncut eigenvalues floored at the mixture floor.
     """
     a_c = a[:, None, None]
-    dec, floor = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
-    log_tau = dec.apply(np.log(np.maximum(dec.eigenvalues, floor[:, None])))
+    dec, floored = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
+    log_tau = dec.apply(np.log(floored))
     return np.trace(rho_c @ log_tau, axis1=1, axis2=2).real, -np.log(a)
 
 

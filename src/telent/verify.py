@@ -13,30 +13,36 @@ seed and any trial can be replayed in isolation.  ``replay_witness``
 evaluates a serialized witness as a one-trial block of the sweep's own
 code, so its margin is the recorded one by construction.
 
-The sweep works in blocks of trials.  Each quantity of a block is one
-stacked call, each check's margins are one array in record order (trial,
-then p, then a), and ``CheckStats.reduce`` takes that array in one step,
-building a witness only for a new worst margin.  Every margin function
-is the one formula of its check, on floats or on arrays; the terms that
-depend only on the a- and p-grids are taken with Python's math, once per
-grid point.
+The sweep works in blocks of trials.  A block's trials are drawn as
+stacks, each quantity of a block is one stacked call, each check's
+margins are one array in record order (trial, then p, then a), and
+``CheckStats.reduce`` takes that array in one step, building a witness
+only for a new worst margin.  Every margin function is the one formula
+of its check, on floats or on arrays; the terms that depend only on the
+a- and p-grids are taken with Python's math, once per grid point and
+sweep.  The report is written by a writer of its own, byte for byte what
+``json.dumps`` writes.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 import numpy as np
 
 from .matfun import _block_spectra, trace_norm_distance
 from .renyi import _overlap_grid
 from .states import (
-    haar_random_pure,
+    _embed,
+    _ginibre,
+    _haar_frames,
+    _hs_states,
+    _pure_states,
     is_orthogonal,
-    random_mixed_hs,
-    random_orthogonal_pair,
     state_from_jsonable,
     state_to_jsonable,
 )
@@ -163,20 +169,68 @@ class VerificationReport:
     def to_json(self) -> str:
         """Deterministic JSON; a non-finite margin is written as null, as is
         the worst margin of a check with zero trials."""
+        return _json_text(self._doc()) + "\n"
+
+    def _doc(self) -> dict:
+        """The report as the document ``to_json`` writes."""
         checks = {}
         for name, st in self.checks.items():
-            # a shallow copy: json.dumps only reads the witness
+            # a shallow copy: the writer only reads the witness
             checks[name] = dict(vars(st))
             if not math.isfinite(st.worst_margin):
                 checks[name]["worst_margin"] = None
             if st.witness is not None and not math.isfinite(st.witness["margin"]):
                 checks[name]["witness"] = dict(st.witness, margin=None)
-        doc = {
+        return {
             "config": asdict(self.config),
             "checks": checks,
             "passed": self.passed,
         }
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it, nested at ``indent``.
+
+    json's encoder runs in pure Python whenever it indents, which made it a
+    tenth of a small sweep; this writer lays out the same bytes.  It takes
+    what a report holds: dicts with str keys, lists, tuples, str, int,
+    float (written by ``float.__repr__``), bool and None.  A non-finite
+    float raises ``ValueError`` and any other type ``TypeError``, as json
+    does.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        # the floats of the witness matrices are most of a report: a finite
+        # float is written here, without a call
+        items = [
+            repr(x) if type(x) is float and math.isfinite(x) else _json_text(x, inner)
+            for x in value
+        ]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def richardson(hs, values):
@@ -208,15 +262,32 @@ def _grid_terms(f, *grids):
     h(p)) are taken with Python's math, once per distinct point, so each
     is the term of the formula on floats; numpy's array functions may
     round the last bit differently.  Scalars give one value, arrays an
-    array of their broadcast shape.
+    array of their broadcast shape, read-only.  The terms are kept for the
+    last few grids, so a sweep takes them once, not once per block.
     """
     arrays = np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in grids))
-    points = list(zip(*(x.ravel().tolist() for x in arrays)))
+    return _grid_terms_of_bytes(f, arrays[0].shape, *(x.tobytes() for x in arrays))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_terms_of_bytes(f, shape: tuple, *data: bytes):
+    """``_grid_terms`` of grids given by their shape and float64 bytes."""
+    points = list(zip(*(np.frombuffer(x).tolist() for x in data)))
     terms = {point: f(*point) for point in dict.fromkeys(points)}
     values = [terms[point] for point in points]
-    if arrays[0].ndim == 0:
+    if not shape:
         return values[0]
-    return np.array(values, dtype=float).reshape(arrays[0].shape)
+    values = np.array(values, dtype=float).reshape(shape)
+    values.flags.writeable = False
+    return values
+
+
+def _pinsker_scale(a: float) -> float:
+    return 2.0 * (1.0 - a) ** 2
+
+
+def _neg_log(a: float) -> float:
+    return -math.log(a)
 
 
 def _first_min(x, y):
@@ -236,8 +307,8 @@ def check_upper_T(sa, t):
 
 def check_lower_pinsker(a, sa, t):
     """S_a - 2 (1-a)^2 T^2 / (-log a): the telescoped Pinsker bound."""
-    scale = _grid_terms(lambda x: 2.0 * (1.0 - x) ** 2, a)
-    return sa - scale * t * t / _grid_terms(lambda x: -math.log(x), a)
+    scale = _grid_terms(_pinsker_scale, a)
+    return sa - scale * t * t / _grid_terms(_neg_log, a)
 
 
 def check_holevo(p, chi, t):
@@ -327,41 +398,100 @@ def check_limit_closed_forms(values, s0, s1) -> dict:
 # fuzz engine
 # --------------------------------------------------------------------------
 
-def _sample_pair(dim: int, stratum: str, rng: np.random.Generator):
-    if stratum == "faithful":
-        return random_mixed_hs(dim, dim, rng), random_mixed_hs(dim, dim, rng)
-    if stratum == "rank_deficient":
-        r1 = int(rng.integers(1, dim))
-        r2 = int(rng.integers(1, dim + 1))
-        return random_mixed_hs(dim, r1, rng), random_mixed_hs(dim, r2, rng)
-    if stratum == "pure":
-        return haar_random_pure(dim, rng), haar_random_pure(dim, rng)
-    if stratum == "orthogonal":
-        return random_orthogonal_pair(dim, rng)
-    raise ValueError(f"unknown stratum {stratum!r}")
+class _Block(NamedTuple):
+    """Drawn trials of one dimension, as stacks in trial order.
+
+    ``trials`` holds each trial's index within its dimension, ``labels``
+    the keys that name it in a witness, and ``weights`` its joint
+    convexity weight; the pairs and the second pairs are (n, d, d) stacks.
+    """
+
+    trials: list[int]
+    labels: list[dict]
+    rho: np.ndarray
+    sigma: np.ndarray
+    rho2: np.ndarray
+    sigma2: np.ndarray
+    weights: list[float]
 
 
-def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> list[tuple]:
+def _one_trial(rho, sigma, rho2, sigma2, weight: float) -> _Block:
+    """A block of one trial, with index 0 and no labels."""
+    pairs = (np.asarray(x, dtype=complex)[None] for x in (rho, sigma, rho2, sigma2))
+    return _Block([0], [{}], *pairs, [weight])
+
+
+def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> _Block:
     """Draw the given trials of one dimension, in order.
 
-    A trial's RNG gives the pair, then the second pair, then the weight.
-    Each draw is (trial, witness base, rho2, sigma2, weight), the base
-    naming the trial and holding its pair.
+    A trial's RNG gives the pair, then the second pair, then the weight,
+    with the calls of the ``states`` samplers in their order, except that
+    consecutive normal draws are one call, which returns the same numbers.
+    The loop makes only these calls.  The states are then built as stacks,
+    one per Ginibre shape, with the samplers' own stacked helpers, so each
+    is the sampler's state bit for bit.
     """
-    draws = []
-    for trial in trials:
+    full = ("hs", dim, dim)
+    # per piece kind and shape: the normal draws and the (role, position)
+    # of the state they make; roles 0-3 are rho, sigma, rho2 and sigma2
+    groups: dict[tuple, tuple[list, list]] = {}
+    frames = []  # per orthogonal trial: (position, k, normals of its frame)
+    labels, weights = [], []
+    for pos, trial in enumerate(trials):
         trial_index = d_index * config.trials + trial
         stratum = STRATA[trial % len(STRATA)]
         rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
-        rho, sigma = _sample_pair(dim, stratum, rng)
-        base = {"dim": dim, "trial": trial_index, "stratum": stratum, "rho": rho, "sigma": sigma}
-        rho2, sigma2 = _sample_pair(dim, "faithful", rng)
-        draws.append((trial, base, rho2, sigma2, float(rng.uniform(0.0, 1.0))))
-    return draws
+        if stratum == "faithful":
+            pieces = [full, full]
+        elif stratum == "rank_deficient":
+            r1 = int(rng.integers(1, dim))
+            pieces = [("hs", dim, r1), ("hs", dim, int(rng.integers(1, dim + 1)))]
+        elif stratum == "pure":
+            pieces = [("pure", 1, dim)] * 2
+        else:
+            # orthogonal: a frame, then states on its first k columns and the rest
+            u = rng.standard_normal(2 * dim * dim)
+            k = int(rng.integers(1, dim))
+            ra = int(rng.integers(1, k + 1))
+            pieces = [("hs", k, ra), ("hs", dim - k, int(rng.integers(1, dim - k + 1)))]
+            frames.append((pos, k, u))
+        pieces += [full, full]
+        x = rng.standard_normal(sum(2 * rows * cols for _, rows, cols in pieces))
+        start = 0
+        for role, piece in enumerate(pieces):
+            size = 2 * piece[1] * piece[2]
+            normals, targets = groups.setdefault(piece, ([], []))
+            normals.append(x[start : start + size])
+            targets.append((role, pos))
+            start += size
+        weights.append(float(rng.uniform(0.0, 1.0)))
+        labels.append({"dim": dim, "trial": trial_index, "stratum": stratum})
+
+    out = np.empty((4, len(labels), dim, dim), dtype=complex)
+    inner = {}  # (role, position) -> state on one side of an orthogonal frame
+    for (kind, rows, cols), (normals, targets) in groups.items():
+        G = _ginibre(np.stack(normals), rows, cols)
+        made = _pure_states(G[:, 0]) if kind == "pure" else _hs_states(G)
+        if kind == "pure" or rows == dim:
+            roles, positions = zip(*targets)
+            out[list(roles), list(positions)] = made
+        else:
+            inner.update(zip(targets, made))
+    if frames:
+        positions, ks, normals = zip(*frames)
+        U = _haar_frames(_ginibre(np.stack(normals), dim, dim))
+        for k in dict.fromkeys(ks):
+            members = [i for i, k_i in enumerate(ks) if k_i == k]
+            group = [positions[i] for i in members]
+            # the group's frames as whole matrices, sliced as one frame is
+            V = U[members]
+            for role, side in ((0, V[..., :k]), (1, V[..., k:])):
+                out[role, group] = _embed(side, np.stack([inner[role, p] for p in group]))
+    return _Block(list(trials), labels, *out, weights)
 
 
-def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
-    """Evaluate drawn trials and record every check.
+def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
+    """Evaluate a block of drawn trials and record every check.
 
     Every quantity of the block comes from one stacked call each, made
     inside one ``_block_spectra`` scope, so the calls share the spectra of
@@ -372,13 +502,10 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
     (trial, then p, then a), reduced by its ``CheckStats`` in one step, so
     ties keep the first witness.
     """
-    n, n_a, n_p = len(draws), len(a_grid), len(p_grid)
-    trials, bases, rhos2, sigmas2, weights = (list(column) for column in zip(*draws))
+    trials, labels, rho, sigma, rho2, sigma2, weights = block
+    n, n_a, n_p = len(trials), len(a_grid), len(p_grid)
     a_jc = [a_grid[trial % n_a] for trial in trials]
     p_h = [p_grid[trial % n_p] for trial in trials]
-    rho = np.stack([base["rho"] for base in bases])
-    sigma = np.stack([base["sigma"] for base in bases])
-    rho2, sigma2 = np.stack(rhos2), np.stack(sigmas2)
     w = np.array(weights)
     jc_weights = (w, 1.0 - w)
     mixed = _joint_mixture(
@@ -399,10 +526,10 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
         chi_relative = holevo_two_via_relative(np.array(p_h), rho, sigma)
 
     def of_trial(b):
-        return dict(bases[b])
+        return dict(labels[b], rho=rho[b], sigma=sigma[b])
 
     def at_a(b, k):
-        return dict(bases[b], a=a_grid[k])
+        return dict(of_trial(b), a=a_grid[k])
 
     def cell(i):
         return at_a(*divmod(i, n_a))
@@ -411,14 +538,14 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, draws) -> None:
         return at_a(rows[i // n_a], i % n_a)
 
     def at_p(b):
-        return dict(bases[b], p=p_h[b])
+        return dict(of_trial(b), p=p_h[b])
 
     def trre_cell(i):
         b, j, k = np.unravel_index(i, overlaps.shape)
         return dict(at_a(b, k), p=p_grid[j])
 
     def with_second_pair(b):
-        return dict(bases[b], a=a_jc[b], weight=weights[b], rho2=rhos2[b], sigma2=sigmas2[b])
+        return dict(of_trial(b), a=a_jc[b], weight=weights[b], rho2=rho2[b], sigma2=sigma2[b])
 
     sa_grid, t_col = sa[:, :n_a], t[:, None]
     a, p = np.array(a_grid), np.array(p_grid)[:, None]
@@ -479,11 +606,11 @@ def run_fuzz(config: FuzzConfig = FuzzConfig()) -> VerificationReport:
     """
     checks = _fresh_checks(config.slack)
     for d_index, dim in enumerate(config.dims):
-        block = max(1, _BLOCK_ENTRIES // dim**2)
-        for start in range(0, config.trials, block):
-            trials = range(start, min(start + block, config.trials))
-            draws = _draw_block(config, d_index, dim, trials)
-            _record_block(config.a_grid, config.p_grid, checks, draws)
+        size = max(1, _BLOCK_ENTRIES // dim**2)
+        for start in range(0, config.trials, size):
+            trials = range(start, min(start + size, config.trials))
+            block = _draw_block(config, d_index, dim, trials)
+            _record_block(config.a_grid, config.p_grid, checks, block)
 
     # trial inputs are never mutated, so a witness can hold them until now
     for st in checks.values():
@@ -517,8 +644,8 @@ def replay_witness(witness: dict) -> float:
         second = [state_from_jsonable(witness[key]) for key in ("rho2", "sigma2")]
     else:
         second = [rho, sigma]
-    draw = (0, {"rho": rho, "sigma": sigma}, *second, witness.get("weight", 0.5))
-    _record_block(config.a_grid, config.p_grid, checks, [draw])
+    block = _one_trial(rho, sigma, *second, witness.get("weight", 0.5))
+    _record_block(config.a_grid, config.p_grid, checks, block)
     if checks[name].trials == 0:
         raise ValueError(f"witness pair does not exercise the {name} check")
     return checks[name].worst_margin

@@ -59,15 +59,16 @@ def mixed_strata_stack(rng, dim):
 # or BLAS calls round differently fails instead of drifting.
 
 def reference_psd_spectrum(A):
-    """(eigenvalues with the kernel set to 0, eigenvectors, rank cutoff)."""
+    """(eigenvalues with the kernel set to 0, eigenvectors, uncut eigenvalues
+    floored at the mixture floor)."""
     lam, U = np.linalg.eigh(check_hermitian(A))
     dim = lam.shape[0]
     scale = max(float(lam[-1]), 0.0)
     if lam[0] < -dim * TOL_HERM * scale:
         raise ValueError("matrix is not positive semidefinite")
-    cut = dim * 2.0**-52 * scale
-    lam[lam <= cut] = 0.0
-    return lam, U, cut
+    floored = np.maximum(lam, dim * 2.0**-52 * scale)
+    lam[lam <= max(dim, 16) * 2.0**-52 * scale] = 0.0
+    return lam, U, floored
 
 
 def _reference_clamp(value):
@@ -91,8 +92,8 @@ def reference_sa(rho, sigma, a):
     V = U[:, lam > 0.0]
     rho_c = V.conj().T @ rho @ V
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
-    lam, U, floor = reference_psd_spectrum(tau_c)
-    log_tau = (U * np.log(np.maximum(lam, floor))) @ U.conj().T
+    _, U, floored = reference_psd_spectrum(tau_c)
+    log_tau = (U * np.log(floored)) @ U.conj().T
     lam_rho = reference_psd_spectrum(rho)[0]
     pos = lam_rho[lam_rho > 0.0]
     value = float(np.sum(pos * np.log(pos))) - float(np.real(np.trace(rho_c @ log_tau)))
@@ -151,3 +152,52 @@ def reference_holevo_relative(p, rho, sigma):
 
 def reference_trace_distance(rho, sigma):
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
+
+
+# The per-trial samplers as plain numpy, one matrix and one RNG call at a
+# time, in the order of the ``states`` samplers.  The stacked draw of the
+# sweep and the samplers themselves must equal these bit for bit.
+
+def _reference_ginibre(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def reference_mixed_hs(rng, dim, rank):
+    M = _reference_ginibre(rng, dim, rank)
+    M = M @ M.conj().T
+    return M / float(np.trace(M).real)
+
+
+def reference_pure(rng, dim):
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return np.outer(v, v.conj()) / float(np.real(np.vdot(v, v)))
+
+
+def reference_unitary(rng, dim):
+    Q, R = np.linalg.qr(_reference_ginibre(rng, dim, dim))
+    d = np.diag(R)
+    return Q * (d / np.abs(d))
+
+
+def reference_orthogonal_pair(rng, dim):
+    U = reference_unitary(rng, dim)
+    k = int(rng.integers(1, dim))
+    ra = int(rng.integers(1, k + 1))
+    rb = int(rng.integers(1, dim - k + 1))
+    A, B = U[:, :k], U[:, k:]
+    rho = A @ reference_mixed_hs(rng, k, ra) @ A.conj().T
+    sigma = B @ reference_mixed_hs(rng, dim - k, rb) @ B.conj().T
+    return rho, sigma
+
+
+def reference_sample_pair(rng, dim, stratum):
+    """One pair of a sampling stratum, as the sweep draws it."""
+    if stratum == "faithful":
+        return reference_mixed_hs(rng, dim, dim), reference_mixed_hs(rng, dim, dim)
+    if stratum == "rank_deficient":
+        r1 = int(rng.integers(1, dim))
+        r2 = int(rng.integers(1, dim + 1))
+        return reference_mixed_hs(rng, dim, r1), reference_mixed_hs(rng, dim, r2)
+    if stratum == "pure":
+        return reference_pure(rng, dim), reference_pure(rng, dim)
+    return reference_orthogonal_pair(rng, dim)

@@ -23,7 +23,7 @@ from telent.matfun import (
 )
 from telent.oracle import finite_diff_frechet, quad_tre
 from telent.renyi import renyi_overlap, renyi_overlap_telescoped, state_power, trre
-from telent.states import is_orthogonal, telescope_mix
+from telent.states import haar_unitary, is_orthogonal, telescope_mix
 from telent.tre import (
     holevo_two,
     holevo_two_via_relative,
@@ -192,6 +192,45 @@ class TestSpectrumMemo:
         assert linalg_calls["eigh"] == 1
 
 
+class TestRankCut:
+    """Eigenvalues at or below max(dim, 16) * 2^-52 * lambda_max are kernel;
+    the mixture floor stays dim * 2^-52 * lambda_max."""
+
+    EPS = 2.0**-52
+
+    def _planted(self, dim, small):
+        """A rotated state of rank dim - 1 plus ``small`` * 2^-52 * lambda_max."""
+        lam = np.linspace(1.0, 2.0, dim)
+        lam[0] = 0.0
+        lam /= lam.sum()
+        lam[0] = small * self.EPS * lam[-1]
+        U = haar_unitary(dim, np.random.default_rng(dim))
+        return (U * lam) @ U.conj().T, lam[-1]
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_planted_kernel_eigenvalue_between_the_old_and_the_new_cut(self, dim):
+        A, lam_max = self._planted(dim, 9.0)
+        small = np.linalg.eigh(A)[0][0]
+        # above the old cut dim * 2^-52 * lambda_max, which gave full rank
+        assert dim * self.EPS * lam_max < small <= 16 * self.EPS * lam_max
+        assert support_basis(A).shape[1] == dim - 1
+        # the mixture floor keeps it
+        dec, floored = _psd_spectrum(A)
+        assert dec.eigenvalues[0] == 0.0 and floored[0] == small
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_eigenvalue_above_the_cut_is_support(self, dim):
+        A, lam_max = self._planted(dim, 40.0)
+        assert np.linalg.eigh(A)[0][0] > 16 * self.EPS * lam_max
+        assert support_basis(A).shape[1] == dim
+
+    def test_floor_of_an_eigenvalue_below_it(self):
+        lam_max = 0.75
+        dec, floored = _psd_spectrum(np.diag([self.EPS * lam_max, 0.25, lam_max]))
+        assert dec.eigenvalues[0] == 0.0
+        assert floored[0] == 3 * self.EPS * lam_max and floored[1] == 0.25
+
+
 class TestBlockStore:
     def test_equal_stack_decomposes_once_in_a_scope(self, rng, linalg_calls):
         H = np.stack([random_pd(rng, 3) for _ in range(4)])
@@ -242,10 +281,10 @@ class TestBlockStore:
     def test_store_dropped_after_a_block_that_raised(self):
         config = verify.FuzzConfig(trials=1)
         bad = np.diag([1.2, -0.2]).astype(complex)
-        draw = (0, {"rho": bad, "sigma": np.eye(2) / 2}, np.eye(2) / 2, np.eye(2) / 2, 0.5)
+        block = verify._one_trial(bad, np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 0.5)
         checks = verify._fresh_checks(config.slack)
         with pytest.raises(ValueError, match="positive semidefinite"):
-            verify._record_block(config.a_grid, config.p_grid, checks, [draw])
+            verify._record_block(config.a_grid, config.p_grid, checks, block)
         assert _BLOCK_STORE.get() is None
 
 

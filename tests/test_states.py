@@ -2,10 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from telent.matfun import trace_norm_distance
+from helpers import (
+    reference_mixed_hs,
+    reference_orthogonal_pair,
+    reference_pure,
+    reference_unitary,
+)
+from telent.matfun import _EPS_RANK, _RANK_CUT_MIN_DIM, trace_norm_distance
 from telent.states import (
     check_density,
     haar_random_pure,
+    haar_unitary,
     is_orthogonal,
     pure_from_vector,
     qubit_pair_with_angle,
@@ -97,6 +104,21 @@ class TestTelescopeMix:
 
 
 class TestSampling:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_samplers_are_the_per_matrix_code(self, dim):
+        # each sampler is the one-matrix case of a stacked helper
+        def same(sampler, reference, *args):
+            got = sampler(dim, *args, np.random.default_rng(seed))
+            want = reference(np.random.default_rng(seed), dim, *args)
+            assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+        for seed in range(20):
+            same(haar_unitary, reference_unitary)
+            same(haar_random_pure, reference_pure)
+            same(random_orthogonal_pair, reference_orthogonal_pair)
+            for rank in range(1, dim + 1):
+                same(random_mixed_hs, reference_mixed_hs, rank)
+
     def test_dim_one_pure(self, rng):
         assert_allclose(haar_random_pure(1, rng), [[1.0]])
 
@@ -118,7 +140,8 @@ class TestSampling:
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_full_rank_is_faithful(self, rng):
-        cut = 3 * 2.0**-52
+        # the rank cut at d = 3; lambda_max <= 1
+        cut = _RANK_CUT_MIN_DIM * _EPS_RANK
         for _ in range(1000):
             rho = random_mixed_hs(3, 3, rng)
             assert np.linalg.eigvalsh(rho)[0] > cut

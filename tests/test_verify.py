@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import reference_sample_pair
 from telent import cli, renyi, tre, verify
 from telent.cli import FIGURE_IDS, FigureSpec, figure_rows
 from telent.matfun import trace_norm_distance
@@ -326,6 +327,125 @@ class TestRunFuzz:
                 FuzzConfig(slack=slack)
         # a negative slack forces failures and stays allowed
         assert FuzzConfig(slack=-1.0).slack == -1.0
+
+
+class TestStackedDraw:
+    """A block's trials are drawn by their RNG calls alone, then built as stacks."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_equals_the_per_trial_samplers(self, dim):
+        # three trials of each stratum, in the second dimension of the sweep
+        trials = 12
+        for seed in range(100):
+            config = FuzzConfig(dims=(2, dim), trials=trials, seed=seed * 0x9E3779B97F4A7C15)
+            block = verify._draw_block(config, 1, dim, range(trials))
+            assert block.trials == list(range(trials))
+            for trial in range(trials):
+                trial_index = trials + trial
+                stratum = verify.STRATA[trial % len(verify.STRATA)]
+                rng = np.random.default_rng((config.seed ^ trial_index) & ((1 << 64) - 1))
+                states = [*reference_sample_pair(rng, dim, stratum)]
+                states += reference_sample_pair(rng, dim, "faithful")
+                drawn = [block.rho, block.sigma, block.rho2, block.sigma2]
+                assert np.stack([x[trial] for x in drawn]).tobytes() == np.stack(states).tobytes()
+                assert block.weights[trial] == rng.uniform(0.0, 1.0)
+                label = {"dim": dim, "trial": trial_index, "stratum": stratum}
+                assert block.labels[trial] == label
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestReportWriter:
+    """``to_json`` writes the bytes of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            FuzzConfig(dims=(2, 3, 4), trials=16, seed=5),
+            # forced failures
+            FuzzConfig(dims=(2, 3), trials=8, seed=3, slack=-1.0),
+            FuzzConfig(dims=(8,), trials=4, seed=1),
+            # maximality runs no trial: its worst margin is null, its witness too
+            FuzzConfig(dims=(12,), trials=1, seed=0),
+            FuzzConfig(dims=(2,), trials=3, a_grid=(0.5,), p_grid=(0.5,), slack=0),
+        ],
+    )
+    def test_report_bytes(self, config):
+        report = run_fuzz(config)
+        assert report.to_json() == _json_dumps(report._doc()) + "\n"
+
+    def test_zero_trial_check(self):
+        report = run_fuzz(FuzzConfig(dims=(12,), trials=1, seed=0))
+        assert report.checks["maximality"].trials == 0
+        assert json.loads(report.to_json())["checks"]["maximality"]["worst_margin"] is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margins(self, bad, monkeypatch):
+        right = tre.telescopic_relative_entropy
+        monkeypatch.setattr(
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: np.full_like(right(rho, sigma, a), bad),
+        )
+        report = run_fuzz(FuzzConfig(dims=(2,), trials=4))
+        text = report.to_json()
+        assert text == _json_dumps(report._doc()) + "\n"
+        assert json.loads(text)["checks"]["range"]["witness"]["margin"] is None
+
+    def test_values_of_every_kind(self):
+        doc = {
+            "b": [1, 2.5, -0.0, 1e-300, 1e22, -7, 2**70, True, False, None],
+            "a": {"z": {}, "y": [], "x": [[]], "w": (0.1, (2, "t"))},
+            "": "quote \" slash \\ newline \n tab \t unicode \u00e9 \u2603",
+            "\u00fc": np.float64(0.1),
+            "nested": [{"k": [[0.5, -0.25], [1.0, 3e-17]]}],
+        }
+        assert verify._json_text(doc) == _json_dumps(doc)
+        for scalar in (0.1, 3, True, None, "s", [], {}):
+            assert verify._json_text(scalar) == _json_dumps(scalar)
+        # json would write the key as "1"; a report has str keys only
+        with pytest.raises(TypeError):
+            verify._json_text({1: 2.0})
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (math.nan, ValueError),
+            ([1.0, math.inf], ValueError),
+            ({"a": [-math.inf]}, ValueError),
+            (np.int64(1), TypeError),
+            ([object()], TypeError),
+        ],
+    )
+    def test_rejects_what_json_rejects(self, bad, error):
+        with pytest.raises(error):
+            _json_dumps(bad)
+        with pytest.raises(error):
+            verify._json_text(bad)
+
+
+# knife-edge pairs: roundoff gives a low-rank state an eigenvalue just above
+# dim * 2^-52 * lambda_max, which was the rank cut, and S_0 or S_1 then
+# counted one rank too many
+KNIFE_EDGE_SEEDS = [2098274950, 2721176236, 254804234, 1423786839, 2451294897]
+
+
+class TestRankCutInTheSweep:
+    @pytest.mark.parametrize("seed", KNIFE_EDGE_SEEDS)
+    def test_knife_edge_seeds_pass(self, seed):
+        assert run_fuzz(FuzzConfig(dims=(2, 3, 4), trials=16, seed=seed)).passed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near-singular sigma: the a -> 0 extrapolation from fixed nodes "
+        "misses S_0 while a is not far below lambda_min(sigma)",
+    )
+    @pytest.mark.parametrize("seed", [2213080472, 3361175558])
+    def test_near_singular_sigma_seeds_pass(self, seed):
+        report = run_fuzz(FuzzConfig(dims=(2, 3, 4), trials=16, seed=seed))
+        assert report.checks["limit_zero"].failures == 0
 
 
 class TestBlocks:
