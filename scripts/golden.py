@@ -14,16 +14,18 @@ and writes, per run, its stdout to ``NAME.out``, its stderr to
   ``limit_one`` until the rank cut became ``max(dim, 16) * 2^-52 *
   lambda_max`` (1423786839, 2451294897, and 2098274950, 2721176236 and
   254804234, which are ops 1072, 1096 and 1355 of ``fuzz_small_d`` with
-  benchmark seeds 1744, 1749 and 1750); and the near-singular-sigma seed
-  2213080472, which fails ``limit_zero`` because its extrapolation nodes
-  are not far below the smallest eigenvalue of sigma;
+  benchmark seeds 1744, 1749 and 1750); and the near-singular seeds
+  2213080472 and 3438314566 (sigma) and 451392458 (rho), which fail
+  ``limit_zero`` or ``limit_one`` because the extrapolation nodes are not
+  far below the smallest eigenvalue of the state;
 * ``telent figure FIG --points N`` for every figure at N = 1001, 2 and 3:
   at 2 the fig2a/fig2b grid has endpoints only, and fig1a has joint
   supports of ranks 1 and 2 in one call;
 * ``telent compute`` for seeded pairs at d = 2, 3, 4, 6, one per sampling
   stratum (the orthogonal pair has an infinite relative entropy), at
   a in {0, 1e-11, 0.3, 0.5, 1 - 1e-9, 1}, each with and without
-  ``--p 0.4 --format csv --bits``.  The state files go to
+  ``--p 0.4 --format csv --bits``, and one pair per stratum at d = 16
+  and 64 with ``--a 0.3 --p 0.4``.  The state files go to
   ``OUT_DIR/states``.
 
 The pairs are drawn here with numpy alone, so they do not depend on the
@@ -63,6 +65,8 @@ VERIFY_RUNS = {
     "verify_trials16_seed2721176236": ["--trials", "16", "--seed", "2721176236"],
     "verify_trials16_seed254804234": ["--trials", "16", "--seed", "254804234"],
     "verify_trials16_seed2213080472": ["--trials", "16", "--seed", "2213080472"],
+    "verify_trials16_seed3438314566": ["--trials", "16", "--seed", "3438314566"],
+    "verify_trials16_seed451392458": ["--trials", "16", "--seed", "451392458"],
 }
 
 FIGURE_SMALL_POINTS = (2, 3)
@@ -70,6 +74,9 @@ FIGURE_SMALL_POINTS = (2, 3)
 COMPUTE_DIMS = (2, 3, 4, 6)
 COMPUTE_A = (0.0, 1e-11, 0.3, 0.5, 1.0 - 1e-9, 1.0)
 COMPUTE_EXTRA = ["--p", "0.4", "--format", "csv", "--bits"]
+# one run per pair at the dims where a pair's spectra cost most
+COMPUTE_LARGE_DIMS = (16, 64)
+COMPUTE_LARGE_ARGS = ["--a", "0.3", "--p", "0.4"]
 STRATA = ("faithful", "rank_deficient", "pure", "orthogonal")
 
 
@@ -135,16 +142,27 @@ def main(argv: list[str]) -> int:
             run(f"figure_{fig}_points{points}", ["figure", fig, "--points", str(points)], codes)
 
     rng = np.random.default_rng(20261018)
+
+    def write_pair(pair: str, dim: int, stratum: str) -> list[str]:
+        paths = [states / f"{pair}_{role}.json" for role in ("rho", "sigma")]
+        for path, rho in zip(paths, sample_pair(dim, stratum, rng)):
+            _write_state(path, rho)
+        return [str(path) for path in paths]
+
     for dim in COMPUTE_DIMS:
         for stratum in STRATA:
             pair = f"d{dim}_{stratum}"
-            paths = [states / f"{pair}_{role}.json" for role in ("rho", "sigma")]
-            for path, rho in zip(paths, sample_pair(dim, stratum, rng)):
-                _write_state(path, rho)
+            paths = write_pair(pair, dim, stratum)
             for a in COMPUTE_A:
-                args = ["compute", *map(str, paths), "--a", repr(a)]
+                args = ["compute", *paths, "--a", repr(a)]
                 run(f"compute_{pair}_a{a!r}", args, codes)
                 run(f"compute_{pair}_a{a!r}_p0.4_csv_bits", args + COMPUTE_EXTRA, codes)
+    # drawn after the pairs above, so those stay as they were
+    for dim in COMPUTE_LARGE_DIMS:
+        for stratum in STRATA:
+            pair = f"d{dim}_{stratum}"
+            args = ["compute", *write_pair(pair, dim, stratum), *COMPUTE_LARGE_ARGS]
+            run(f"compute_{pair}_a0.3_p0.4", args, codes)
 
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
     return 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import _EPS_RANK, trace_norm_distance
+from .matfun import _EPS_RANK, _RANK_CUT_MIN_DIM, trace_norm_distance
 from .renyi import trre
 from .states import EPS_ORTH, state_from_jsonable, state_to_jsonable, telescope_mix
 from .tre import (
@@ -94,8 +94,9 @@ def _compute_record(rho, sigma, a, p, bits):
         else sa * (-math.log(a)) if a > 0.0 else float("nan")
     )
     scale = 1.0 / _LN2 if bits else 1.0
+    dim = int(np.asarray(rho).shape[0])
     record = {
-        "dim": int(np.asarray(rho).shape[0]),
+        "dim": dim,
         "a": a,
         "units": "bits" if bits else "nats",
         "S_a": sa,
@@ -103,7 +104,10 @@ def _compute_record(rho, sigma, a, p, bits):
         "S0": tre_limit_zero(rho, sigma),
         "S1": tre_limit_one(rho, sigma),
         "S_rho_tau": raw * scale if math.isfinite(raw) else None,
-        "epsilon_rank": f"dim * 2^{math.log2(_EPS_RANK):.0f} * lambda_max (relative)",
+        # the rank cut at this dim, with no comma to split a csv field
+        "epsilon_rank": (
+            f"{max(dim, _RANK_CUT_MIN_DIM)} * 2^{math.log2(_EPS_RANK):.0f} * lambda_max (relative)"
+        ),
         "epsilon_orth": EPS_ORTH,
         "epsilon_supp": EPS_SUPP,
     }

@@ -6,15 +6,14 @@ derivative maps of the matrix logarithm and of fractional matrix powers.
 Everything here is a pure function of its inputs.
 
 ``_psd_spectra`` alone decides where a stack's spectra come from: the
-block store inside a ``_block_spectra`` scope, else the spectrum memo for
-the one matrix of a call that returns one float, else a fresh eigh.
+block store inside a ``_block_spectra`` scope, else a fresh eigh.  The
+one-pair calls keep what they derive from a pair in ``tre._pair_core``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,6 @@ _RANK_CUT_MIN_DIM = 16
 # Relative gap below which divided differences switch to the midpoint
 # derivative to avoid catastrophic cancellation.
 _DD_NEAR = 1e-8
-
-# Number of distinct matrices whose PSD spectra ``_psd_spectrum`` keeps.
-_SPECTRUM_CACHE_SIZE = 8
 
 # The stacked spectra kept by ``_psd_spectra`` while a ``_block_spectra``
 # scope is open, keyed on (shape, bytes) of the whole stack; None outside.
@@ -124,40 +120,19 @@ def _hermitian_stack(H) -> np.ndarray:
 def _psd_spectrum(A) -> tuple[SpectralDecomposition, np.ndarray]:
     """Decompose a PSD matrix with its numerical kernel set to exact zeros.
 
-    ``_psd_spectra`` for one matrix: every eigenvalue at or below the rank
-    cut becomes exactly 0, so ``eigenvalues > 0`` masks the support.
-    Returns the decomposition and the uncut eigenvalues floored at the
-    mixture floor.
-
-    Results are memoised on the exact bytes of the input as a complex
-    array, so a matrix is decomposed once while it stays among the
-    ``_SPECTRUM_CACHE_SIZE`` (8) most recently used distinct inputs; an
-    entry holds about twice the matrix, some 130 KB at dim 64.  Equal
-    bytes give an identical eigh result, so a hit returns exactly what a
-    fresh call would.  Every miss runs the full validation and an input
-    that raises is never stored, so invalid input raises on every call.
-    The cached eigenvalue and eigenvector arrays are read-only; callers
-    that hand arrays out must derive new ones from them.
+    ``_psd_spectra`` for one matrix, from a fresh eigh: every eigenvalue at
+    or below the rank cut becomes exactly 0, so ``eigenvalues > 0`` masks
+    the support.  Returns the decomposition and the uncut eigenvalues
+    floored at the mixture floor.
     """
-    H = np.asarray(A, dtype=complex)
-    return _psd_spectrum_of_bytes(H.shape, H.tobytes())
-
-
-@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _psd_spectrum_of_bytes(
-    shape: tuple[int, ...], data: bytes
-) -> tuple[SpectralDecomposition, np.ndarray]:
-    H = np.frombuffer(data, dtype=complex).reshape(shape)
-    dec, floored = _read_only(_decompose_stack(H[None]))
+    dec, floored = _decompose_stack(np.asarray(A, dtype=complex)[None])
     return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0]), floored[0]
 
 
-def _read_only(spectra: tuple[SpectralDecomposition, np.ndarray]):
-    """The spectra of ``_decompose_stack`` with their arrays made read-only."""
-    dec, floored = spectra
-    for array in (dec.eigenvalues, dec.eigenvectors, floored):
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make each array read-only, so a kept result cannot be changed."""
+    for array in arrays:
         array.flags.writeable = False
-    return spectra
 
 
 @contextlib.contextmanager
@@ -178,7 +153,7 @@ def _block_spectra():
         _BLOCK_STORE.reset(token)
 
 
-def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarray]:
+def _psd_spectra(H) -> tuple[SpectralDecomposition, np.ndarray]:
     """PSD spectra of a stack of matrices, shape (n, r, r), with their
     uncut eigenvalues floored at the mixture floor, shape (n, r).
 
@@ -188,10 +163,7 @@ def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarr
 
     * inside a ``_block_spectra`` scope, from the block store, which keeps
       each distinct stack's result, read-only, until the scope exits;
-    * otherwise, with ``memo`` set, from the spectrum memo of
-      ``_psd_spectrum``.  Only a call that returns one Python float sets
-      it, for a stack of one matrix;
-    * otherwise, from a fresh stacked eigh, so a stacked call's work never
+    * otherwise, from a fresh stacked eigh, so a call's work never
       depends on earlier calls.
 
     Rejection uses the looser level dim * TOL_HERM * lambda_max: inputs
@@ -206,18 +178,14 @@ def _psd_spectra(H, memo: bool = False) -> tuple[SpectralDecomposition, np.ndarr
     if store is not None:
         key = (H.shape, H.tobytes())
         if key not in store:
-            store[key] = _read_only(_decompose_stack(H))
+            dec, floored = store[key] = _decompose_stack(H)
+            _read_only(dec.eigenvalues, dec.eigenvectors, floored)
         return store[key]
-    if memo:
-        (h,) = H
-        dec, floored = _psd_spectrum(h)
-        lam, U = dec.eigenvalues[None], dec.eigenvectors[None]
-        return SpectralDecomposition(lam, U), floored[None]
     return _decompose_stack(H)
 
 
 def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
-    """``_psd_spectra`` from a fresh eigh, without the store or the memo."""
+    """``_psd_spectra`` from a fresh eigh, without the store."""
     lam, U = np.linalg.eigh(_hermitian_stack(H))
     dim = H.shape[1]
     top = lam[:, -1]

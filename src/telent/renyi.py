@@ -5,86 +5,81 @@ not needed for finiteness here; it still produces a normalized quantity
 Q_{p,a} = (1 - tr rho^(1-p) tau^p)/(1 - a^p) with tau the collinear
 mixture, bounded above by the trace norm distance.
 
-Powers of rank-deficient states follow the support conventions:
-0^p = 0 for p > 0 and x^0 is the support projector.
+No matrix power is formed.  tau = a*rho + (1-a)*sigma lives on the joint
+support V of the pair, so with rho = sum_i lambda_i |u_i><u_i| and the
+mixture compressed to V, tau_c = V* tau V = sum_j mu_j |w_j><w_j|,
+
+    tr rho^(1-p) tau^p = sum_ij lambda_i^(1-p) mu_j^p |(U_rho* V U_tau_c)_ij|^2.
+
+The weights |(U_rho* V U_tau_c)_ij|^2 depend on a but not on p, and they
+come from the same decomposition of tau_c that S_a takes its log of.
+Powers follow the support conventions: the cut kernel of rho and of
+tau_c is exactly 0, 0^q = 0 for q > 0, and x^0 is 1 on the support and 0
+on the kernel, so rho^0 and tau^0 are the support projectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matfun import (
-    SpectralDecomposition,
-    _as_pair,
-    _psd_spectra,
-    _psd_spectrum,
-)
+from .matfun import _as_pair, _psd_spectra
+from .tre import _in_basis, _interior_rows, _mixture_groups, _overlap_weights, _pair_core
 
 
-def _power(dec: SpectralDecomposition, q: float) -> np.ndarray:
-    """The decomposed matrix (or stack) to the power q, 0 <= q <= 1."""
-    lam = dec.eigenvalues
+def _pow(lam: np.ndarray, q: float) -> np.ndarray:
+    """lam**q on cut spectra, 0 <= q <= 1, with x^0 the support mask."""
     # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
-    return dec.apply(lam**q if q > 0.0 else (lam > 0.0).astype(float))
+    return lam**q if q > 0.0 else (lam > 0.0).astype(float)
 
 
-def _clamped_trace(product: np.ndarray):
-    """Real trace of a matrix or a stack, negatives set to 0.
+def _overlaps(lam: np.ndarray, mu: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """sum_ij lam_i^(1-p) mu_j^p W_ij per cell: the cut spectra of rho (n, d)
+    and of the compressed mixtures (n, r), and the weights W (n, d, r).
 
-    As Python's max(value, 0.0) would: -0.0 and NaN pass through.
-    """
-    value = np.trace(product, axis1=-2, axis2=-1).real
-    return np.where(value < 0.0, 0.0, value)
-
-
-def state_power(rho, q: float) -> np.ndarray:
-    """rho**q on the spectrum of a PSD operator, 0 <= q <= 1.
-
-    Eigenvalues at or below the rank cut are treated as exact zeros;
-    q = 0 returns the support projector.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {q}")
-    dec, _ = _psd_spectrum(rho)
-    return _power(dec, q)
+    Every term is nonnegative, so the sum is too."""
+    row = _pow(lam, 1.0 - p)[:, None, :]
+    return (row @ weights @ _pow(mu, p)[:, :, None])[:, 0, 0]
 
 
 def renyi_overlap(rho, sigma, p: float) -> float:
     """tr rho^(1-p) sigma^p for p in [0, 1].
 
-    Symmetric under swapping (rho, p) with (sigma, 1-p); equals 1 at
-    rho = sigma, vanishes exactly on orthogonal pairs, and is bounded
-    below by 1 - T(rho, sigma).
+    The telescoped overlap at a = 0.  Symmetric under swapping (rho, p)
+    with (sigma, 1-p); equals 1 at rho = sigma, vanishes exactly on
+    orthogonal pairs, and is bounded below by 1 - T(rho, sigma).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
-    rho, sigma = _as_pair(rho, sigma)
-    return float(_clamped_trace(state_power(rho, 1.0 - p) @ state_power(sigma, p)))
+    return renyi_overlap_telescoped(rho, sigma, p, 0.0)
 
 
-def _overlap_grid(rho, sigma, p_grid, a_grid, memo: bool = False) -> np.ndarray:
+def _overlap_grid(rho, sigma, p_grid, a_grid) -> np.ndarray:
     """Telescoped overlaps of a stack of pairs over a (p, a) grid.
 
     ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
     (N, len(p_grid), len(a_grid)) and holds tr rho^(1-p) tau^p with
-    tau = a*rho + (1-a)*sigma, each element bit for bit what the one-pair
-    call computes.  The N states and the N * len(a_grid) mixtures are two
-    stacks for ``_psd_spectra``: from the store inside a sweep block, from
-    the spectrum memo when ``memo`` is set (``renyi_overlap_telescoped``,
-    one pair at one a), else from a fresh stacked eigh.  rho^(1-p) is
-    built once per pair and p.
+    tau = a*rho + (1-a)*sigma at each interior a (0 < a < 1), each element
+    bit for bit what the one-pair call computes, and NaN at a = 0 and
+    a = 1.  The mixtures are those of the ``S_a`` call on the same pairs
+    and a-grid (``tre._mixture_groups``), and rho is the stack that call
+    decomposes, so inside a sweep block, after that call, every spectrum
+    comes from the store.  The weights are one product per cell, and each
+    p is one stacked product per rank group.
     """
-    n, k, shape = len(rho), len(a_grid), rho.shape[1:]
-    a = np.asarray(a_grid, dtype=float)[:, None, None]
-    mixes = a * rho[:, None] + (1.0 - a) * sigma[:, None]
-    states, _ = _psd_spectra(rho, memo)
-    mixtures, _ = _psd_spectra(mixes.reshape(n * k, *shape), memo)
-    mixtures = SpectralDecomposition(
-        mixtures.eigenvalues.reshape(n, k, -1), mixtures.eigenvectors.reshape(n, k, *shape)
-    )
-    out = np.empty((n, len(p_grid), k))
-    for j, p in enumerate(p_grid):
-        out[:, j] = _clamped_trace(_power(states, 1.0 - p)[:, None] @ _power(mixtures, p))
+    grid = np.broadcast_to(np.asarray(a_grid, dtype=float), (len(rho), len(a_grid)))
+    out = np.full((len(rho), len(p_grid), grid.shape[1]), np.nan)
+    interior, rows = _interior_rows(grid)
+    if not rows.size:
+        return out
+    states, _ = _psd_spectra(rho[rows])
+    for cells in _mixture_groups(rho, sigma, grid, interior, rows):
+        dec, _ = cells.tau
+        rho_in_V = _in_basis(states.eigenvectors[cells.group], cells.V)
+        weights = _overlap_weights(rho_in_V[cells.j], dec.eigenvectors)
+        lam = states.eigenvalues[cells.group][cells.j]
+        i = rows[cells.group][cells.j]
+        for m, p in enumerate(p_grid):
+            out[i, m, cells.k] = _overlaps(lam, dec.eigenvalues, weights, p)
     return out
 
 
@@ -92,22 +87,29 @@ def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
     """Raw telescoped overlap tr rho^(1-p) (a*rho + (1-a)*sigma)^p.
 
     Takes values in [a^p, 1]; the minimum a^p is attained exactly on
-    orthogonal pairs.
+    orthogonal pairs.  Computed from the pair's core (``tre._pair_core``)
+    by the overlap formula of the module docstring, with the mixture
+    compressed to the joint support and decomposed once per pair and a.
     """
     if not 0.0 <= a < 1.0:
         raise ValueError(f"telescoping parameter a must lie in [0, 1), got {a}")
     rho, sigma = _as_pair(rho, sigma)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
-    return float(_overlap_grid(rho[None], sigma[None], (p,), (a,), memo=True)[0, 0, 0])
+    core = _pair_core(rho, sigma)
+    mixture = core.mixture(a)
+    return float(_overlaps(core.joint.rho.eigenvalues, mixture.mu, mixture.weights, p)[0])
 
 
 def trre(rho, sigma, p: float, a: float) -> float:
     """Telescopic relative Renyi entropy Q_{p,a} in [0, 1].
 
-    (1 - tr rho^(1-p) tau^p) / (1 - a^p) with tau = a*rho + (1-a)*sigma.
-    Zero iff rho = sigma; equals 1 on orthogonal pairs; bounded above by
-    the trace norm distance T(rho, sigma).
+    (1 - tr rho^(1-p) tau^p) / (1 - a^p) with tau = a*rho + (1-a)*sigma,
+    the overlap taken as sum_ij lambda_i^(1-p) mu_j^p |(U_rho* V U_tau_c)_ij|^2
+    over the spectra of rho and of tau compressed to the joint support V
+    (see the module docstring).  Zero iff rho = sigma; equals 1 on
+    orthogonal pairs; bounded above by the trace norm distance
+    T(rho, sigma).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"Renyi order p must lie in (0, 1), got {p}")

@@ -12,6 +12,9 @@ dimensionless ratios and independent of the log base.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from .matfun import (
@@ -19,8 +22,7 @@ from .matfun import (
     _as_pair,
     _hermitian_stack,
     _psd_spectra,
-    _psd_spectrum,
-    support_basis,
+    _read_only,
 )
 
 # Mass of rho allowed outside the support of sigma before the relative
@@ -29,6 +31,11 @@ EPS_SUPP = 1e-10
 
 # Entropy values in [-_NEG_CLAMP, 0) are roundoff and clamped to zero.
 _NEG_CLAMP = 1e-10
+
+# Number of pairs whose one-pair results ``_pair_core`` keeps, and of
+# telescoping parameters per pair whose mixtures a core keeps.
+_PAIR_CORES = 2
+_CORE_MIXTURES = 8
 
 
 def _clamp_entropy(value):
@@ -72,14 +79,14 @@ def _sum_xlogx(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropies(states: np.ndarray, memo: bool) -> np.ndarray:
+def _entropies(states: np.ndarray) -> np.ndarray:
     """``von_neumann_entropy`` of each matrix of a stack (n, d, d)."""
-    return _clamp_entropy(-_sum_xlogx(_psd_spectra(states, memo)[0].eigenvalues))
+    return _clamp_entropy(-_sum_xlogx(_psd_spectra(states)[0].eigenvalues))
 
 
 def von_neumann_entropy(rho) -> float:
     """- tr rho log rho; zero for pure states, log(dim) for maximally mixed."""
-    return float(_entropies(np.asarray(rho)[None], memo=True)[0])
+    return float(_entropies(np.asarray(rho)[None])[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -90,11 +97,11 @@ def relative_entropy(rho, sigma) -> float:
     support of sigma and the result is finite and nonnegative.
     """
     rho, sigma = _as_pair(rho, sigma)
-    (value,) = _relative_entropies([rho[None]], sigma[None], [np.ones(1, dtype=bool)], memo=True)
+    (value,) = _relative_entropies([rho[None]], sigma[None], [np.ones(1, dtype=bool)])
     return float(value[0])
 
 
-def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
+def _relative_entropies(states, sigma, used) -> list[np.ndarray]:
     """``relative_entropy`` of each stack in ``states`` against ``sigma``.
 
     ``states`` holds (N, d, d) stacks and ``used`` an (N,) mask for each;
@@ -108,7 +115,7 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     one-pair sequence, so its value is the one-pair value bit for bit.
     """
     n = len(sigma)
-    dec, _ = _psd_spectra(sigma, memo)
+    dec, _ = _psd_spectra(sigma)
     inside = [np.zeros(n, dtype=bool) for _ in states]
     cross = [np.zeros(n) for _ in states]
     for rank, pairs in _rank_groups(dec.eigenvalues):
@@ -132,7 +139,7 @@ def _relative_entropies(states, sigma, used, memo: bool) -> list[np.ndarray]:
     for state, use, ins, out in zip(states, used, inside, cross):
         value = np.where(use, np.inf, 0.0)
         if ins.any():
-            xlogx = _sum_xlogx(_psd_spectra(state[ins], memo)[0].eigenvalues)
+            xlogx = _sum_xlogx(_psd_spectra(state[ins])[0].eigenvalues)
             value[ins] = _clamp_entropy(xlogx - out[ins])
         values.append(value)
     return values
@@ -155,8 +162,8 @@ def telescopic_relative_entropy(rho, sigma, a):
     (the test suite checks this against a scalar reference).  Those
     mixtures are held at once, about K times the size of the input, so a
     caller with a large stack passes it in blocks, as ``run_fuzz`` does.
-    Only the one-pair, scalar-``a`` call reads and fills the spectrum memo
-    of ``matfun``; anything else takes every spectrum from stacked eigh
+    Only the one-pair, scalar-``a`` call reads and fills the pair's core
+    (``_pair_core``); anything else takes every spectrum from stacked eigh
     calls, so its work does not depend on earlier calls.
 
     Always finite: the mixture dominates a*rho, so rho never leaves its
@@ -219,17 +226,33 @@ def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
     return _clamp_entropy(1.0 - traces)
 
 
-def _cross_terms(rho_c, sig_c, a) -> tuple[np.ndarray, np.ndarray]:
-    """tr rho_c log tau_c and -log a for n compressed pairs (n, r, r) at
-    their interior a-values (n,).
-
-    The mixtures tau_c are decomposed in one stacked eigh, and the log
-    takes their uncut eigenvalues floored at the mixture floor.
-    """
+def _mixture_spectra(rho_c, sig_c, a) -> tuple[SpectralDecomposition, np.ndarray]:
+    """PSD spectra of the compressed mixtures a*rho_c + (1-a)*sig_c of n
+    cells (n, r, r) at their a-values (n,), with their uncut eigenvalues
+    floored at the mixture floor; one stacked eigh."""
     a_c = a[:, None, None]
-    dec, floored = _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
+    return _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
+
+
+def _cross_terms(rho_c, tau) -> np.ndarray:
+    """tr rho_c log tau_c for n cells: the compressed states (n, r, r) and
+    the mixture spectra ``tau`` of ``_mixture_spectra``.  The log takes the
+    floored eigenvalues."""
+    dec, floored = tau
     log_tau = dec.apply(np.log(floored))
-    return np.trace(rho_c @ log_tau, axis1=1, axis2=2).real, -np.log(a)
+    return np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
+
+
+def _in_basis(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """U* V per pair of a stack: the columns of V in the eigenbasis U."""
+    return U.conj().swapaxes(-1, -2) @ V
+
+
+def _overlap_weights(rho_in_V: np.ndarray, U_tau: np.ndarray) -> np.ndarray:
+    """|(U_rho* V U_tau_c)_ij|^2 per cell, from U_rho* V and the
+    eigenvectors of the compressed mixture."""
+    M = rho_in_V @ U_tau
+    return M.real**2 + M.imag**2
 
 
 def _ratio(xlogx, cross, neg_log):
@@ -237,29 +260,52 @@ def _ratio(xlogx, cross, neg_log):
     return _clamp_entropy(_clamp_entropy(xlogx - cross) / neg_log)
 
 
-def _pair_value(rho, sigma, a: float) -> float:
-    """S_a of one pair at one a, with its spectra from the memo."""
-    if a == 0.0:
-        return tre_limit_zero(rho, sigma)
-    if a == 1.0:
-        return tre_limit_one(rho, sigma)
-    rho_c, sig_c = _compress(support_basis((rho + sigma) / 2.0), rho, sigma)
-    (cross,), (neg_log,) = _cross_terms(rho_c[None], sig_c[None], np.array([a]))
-    (xlogx,) = _sum_xlogx(_psd_spectrum(rho)[0].eigenvalues[None])
-    return float(_ratio(xlogx, cross, neg_log))
+class _Group(NamedTuple):
+    """The interior cells of one joint-support rank group of a grid."""
+
+    group: np.ndarray  # the group's positions among the rows with interior cells
+    V: np.ndarray  # the joint support of each of its pairs (n, d, r)
+    j: np.ndarray  # per cell, its pair's position in the group
+    k: np.ndarray  # per cell, its column of the grid
+    rho_c: np.ndarray  # per cell, rho compressed to the joint support
+    tau: tuple  # per cell, the spectra of ``_mixture_spectra``
+
+
+def _interior_rows(grid):
+    """The mask of interior cells (0 < a < 1) of an (N, K) grid and the
+    rows that hold one."""
+    interior = (grid > 0.0) & (grid < 1.0)
+    return interior, np.flatnonzero(interior.any(axis=1))
+
+
+def _mixture_groups(rho, sigma, grid, interior, rows):
+    """Per joint-support rank, in order of first appearance, the compressed
+    mixtures of the interior cells of ``rows`` (see ``_Group``).
+
+    The joint supports of ``rows`` are one stacked eigh, and each group's
+    mixtures, in row-major order, are one more.  Inside a sweep block the
+    store hands every spectrum of a second pass over the same stacks and
+    grid back without an eigh.
+    """
+    dec, _ = _psd_spectra((rho[rows] + sigma[rows]) / 2.0)
+    for rank, group in _rank_groups(dec.eigenvalues):
+        pairs = rows[group]
+        V = _support(dec.eigenvectors, group, rank)
+        rho_c, sig_c = _compress(V, rho[pairs], sigma[pairs])
+        j, k = np.nonzero(interior[pairs])
+        tau = _mixture_spectra(rho_c[j], sig_c[j], grid[pairs[j], k])
+        yield _Group(group, V, j, k, rho_c[j], tau)
 
 
 def _stack_values(rho, sigma, grid) -> np.ndarray:
     """S_a of N pairs (N, d, d) at an (N, K) grid of a-values.
 
-    Every spectrum comes from a stacked eigh, none from the memo, in this
-    order: sigma of the rows with an a = 0 cell and rho of the rows with
-    an a = 1 cell (one closed form per row); the joint supports of the
-    rows with an interior cell; per joint-support rank, in order of first
-    appearance, the compressed mixtures of the group's interior cells in
-    row-major order; then rho.  The order decides which invalid matrix
-    raises first.  Each element follows the one-pair sequence, so its
-    value is the one-pair value bit for bit.
+    Every spectrum comes from a stacked eigh, in this order: sigma of the
+    rows with an a = 0 cell and rho of the rows with an a = 1 cell (one
+    closed form per row); the mixtures of ``_mixture_groups``; then rho.
+    The order decides which invalid matrix raises first.  Each element
+    follows the one-pair sequence, so its value is the one-pair value bit
+    for bit.
     """
     values = np.empty(grid.shape)
     for end, state, other in ((0.0, rho, sigma), (1.0, sigma, rho)):
@@ -270,24 +316,128 @@ def _stack_values(rho, sigma, grid) -> np.ndarray:
             limits[rows] = _limits(state[rows], _psd_spectra(other[rows])[0])
             i, k = np.nonzero(at_end)
             values[i, k] = limits[i]
-    interior = (grid > 0.0) & (grid < 1.0)
-    rows = np.flatnonzero(interior.any(axis=1))
+    interior, rows = _interior_rows(grid)
     if not rows.size:
         return values
-    dec, _ = _psd_spectra((rho[rows] + sigma[rows]) / 2.0)
     cross, neg_log = np.empty((2, *grid.shape))
-    for rank, group in _rank_groups(dec.eigenvalues):
-        pairs = rows[group]
-        V = _support(dec.eigenvectors, group, rank)
-        rho_c, sig_c = _compress(V, rho[pairs], sigma[pairs])
-        j, k = np.nonzero(interior[pairs])
-        i = pairs[j]
-        cross[i, k], neg_log[i, k] = _cross_terms(rho_c[j], sig_c[j], grid[i, k])
+    for cells in _mixture_groups(rho, sigma, grid, interior, rows):
+        i, k = rows[cells.group][cells.j], cells.k
+        cross[i, k], neg_log[i, k] = _cross_terms(cells.rho_c, cells.tau), -np.log(grid[i, k])
     xlogx = np.empty(len(rho))
     xlogx[rows] = _sum_xlogx(_psd_spectra(rho[rows])[0].eigenvalues)
     i, k = np.nonzero(interior)
     values[i, k] = _ratio(xlogx[i], cross[i, k], neg_log[i, k])
     return values
+
+
+class _Joint(NamedTuple):
+    """What S_a and the overlaps take from a pair, from one stacked eigh of
+    rho and (rho+sigma)/2, whose support V is the joint support."""
+
+    rho: SpectralDecomposition  # the PSD spectrum of rho, a stack of one
+    xlogx: np.floating  # sum lambda log lambda of rho
+    rho_c: np.ndarray  # rho compressed to V, shape (1, r, r)
+    sig_c: np.ndarray  # sigma compressed to V
+    rho_in_V: np.ndarray  # U_rho* V, shape (1, d, r)
+
+
+class _Mixture(NamedTuple):
+    """What a pair's calls take from its compressed mixture at one a."""
+
+    cross: np.floating  # tr rho_c log tau_c
+    mu: np.ndarray  # the cut eigenvalues of tau_c, shape (1, r)
+    weights: np.ndarray  # |(U_rho* V U_tau_c)_ij|^2, shape (1, d, r)
+
+
+class _PairCore:
+    """What the one-pair calls on one pair (rho, sigma) derive from it.
+
+    Each part is computed on first use: ``sigma``, the PSD spectrum of
+    sigma, which only S_0 reads; ``joint`` (see ``_Joint``); and
+    ``mixture(a)``, which decomposes the compressed mixture at a once and
+    keeps what S_a and the overlaps take from it for the last
+    ``_CORE_MIXTURES`` values of a.  Each part is made by the code the
+    stacked calls run, on stacks of one, so every value is the stacked
+    value bit for bit.  Every array is read-only.
+    """
+
+    def __init__(self, rho: np.ndarray, sigma: np.ndarray) -> None:
+        self._pair = rho, sigma
+        self._mixtures: dict[float, _Mixture] = {}
+
+    @functools.cached_property
+    def sigma(self) -> SpectralDecomposition:
+        dec, _ = _psd_spectra(self._pair[1][None])
+        _read_only(dec.eigenvalues, dec.eigenvectors)
+        return dec
+
+    @functools.cached_property
+    def joint(self) -> _Joint:
+        rho, sigma = self._pair
+        dec, _ = _psd_spectra(np.stack([rho, (rho + sigma) / 2.0]))
+        # copies, so the core does not hold the spectrum of (rho+sigma)/2
+        lam, U = dec.eigenvalues[:1].copy(), dec.eigenvectors[:1].copy()
+        ((rank, rows),) = _rank_groups(dec.eigenvalues[1:])
+        V = _support(dec.eigenvectors[1:], rows, rank)
+        (xlogx,) = _sum_xlogx(lam)
+        rho_c, sig_c = _compress(V, rho[None], sigma[None])
+        rho_in_V = _in_basis(U, V)
+        _read_only(lam, U, rho_c, sig_c, rho_in_V)
+        return _Joint(SpectralDecomposition(lam, U), xlogx, rho_c, sig_c, rho_in_V)
+
+    def mixture(self, a: float) -> _Mixture:
+        """The compressed mixture a*rho_c + (1-a)*sig_c, kept in use order."""
+        found = self._mixtures.pop(a, None)
+        if found is None:
+            joint = self.joint
+            tau = _mixture_spectra(joint.rho_c, joint.sig_c, np.array([a]))
+            (cross,) = _cross_terms(joint.rho_c, tau)
+            dec, _ = tau
+            weights = _overlap_weights(joint.rho_in_V, dec.eigenvectors)
+            found = _Mixture(cross, dec.eigenvalues, weights)
+            _read_only(dec.eigenvalues, weights)
+            if len(self._mixtures) == _CORE_MIXTURES:
+                del self._mixtures[next(iter(self._mixtures))]
+        self._mixtures[a] = found
+        return found
+
+
+# The kept cores, most recently used first, each with its key: the shape
+# and the bytes of both states.  A linear scan compares keys by memcmp,
+# where a dict would hash every byte of the inputs on every call.
+_CORES: list[tuple[tuple, _PairCore]] = []
+
+
+def _pair_core(rho: np.ndarray, sigma: np.ndarray) -> _PairCore:
+    """The core of a pair of complex arrays of one shape.
+
+    Kept for the last ``_PAIR_CORES`` distinct pairs, keyed on the shape
+    and the exact bytes of both, so each part of a pair's core is computed
+    once while the pair stays among them, and every value is the one a
+    fresh core gives.  A core reads its states from the key's bytes, so a
+    later change to the caller's arrays cannot reach it.  A part whose
+    input fails validation is never kept, so it raises on every call.
+    """
+    key = (rho.shape, rho.tobytes(), sigma.tobytes())
+    for i, (kept, core) in enumerate(_CORES):
+        if kept == key:
+            _CORES.insert(0, _CORES.pop(i))
+            return core
+    core = _PairCore(*(np.frombuffer(data, dtype=complex).reshape(rho.shape) for data in key[1:]))
+    _CORES.insert(0, (key, core))
+    del _CORES[_PAIR_CORES:]
+    return core
+
+
+def _pair_value(rho, sigma, a: float) -> float:
+    """S_a of one pair at one a, from the pair's core."""
+    core = _pair_core(rho, sigma)
+    if a == 0.0:
+        return float(_limits(rho[None], core.sigma)[0])
+    if a == 1.0:
+        return float(_limits(sigma[None], core.joint.rho)[0])
+    (neg_log,) = -np.log(np.array([a]))
+    return float(_ratio(core.joint.xlogx, core.mixture(a).cross, neg_log))
 
 
 def tre_limit_zero(rho, sigma) -> float:
@@ -296,14 +446,13 @@ def tre_limit_zero(rho, sigma) -> float:
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
     rho, sigma = _as_pair(rho, sigma)
-    return float(_limits(rho[None], _psd_spectra(sigma[None], memo=True)[0])[0])
+    return _pair_value(rho, sigma, 0.0)
 
 
 def tre_limit_one(rho, sigma) -> float:
     """a -> 1 limit: 1 - tr sigma {rho}.  Zero whenever rho is faithful."""
-    # checked before the swap, so a mismatch names the shapes in call order
     rho, sigma = _as_pair(rho, sigma)
-    return tre_limit_zero(sigma, rho)
+    return _pair_value(rho, sigma, 1.0)
 
 
 def tre_pure_closed_form(t: float, a: float) -> float:
@@ -380,11 +529,11 @@ def holevo_two(p, rho, sigma):
     stack an (N,) float array whose elements are the one-pair values bit
     for bit.  A stack's mixtures, rho and sigma are decomposed as three
     stacks, which a sweep block shares through its store with ``S_a`` and
-    ``holevo_two_via_relative``; one pair reads the spectrum memo.
+    ``holevo_two_via_relative``.
     """
     w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
     value = _clamp_entropy(
-        _entropies(mix, one) - w * _entropies(rho, one) - (1.0 - w) * _entropies(sigma, one)
+        _entropies(mix) - w * _entropies(rho) - (1.0 - w) * _entropies(sigma)
     )
     return float(value[0]) if one else value
 
@@ -403,7 +552,7 @@ def holevo_two_via_relative(p, rho, sigma):
     w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
     weights = (w, 1.0 - w)
     used = [weight > 0.0 for weight in weights]
-    s_rho, s_sigma = _relative_entropies((rho, sigma), mix, used, one)
+    s_rho, s_sigma = _relative_entropies((rho, sigma), mix, used)
     # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
     value = _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
     return float(value[0]) if one else value

@@ -495,8 +495,9 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
 
     Every quantity of the block comes from one stacked call each, made
     inside one ``_block_spectra`` scope, so the calls share the spectra of
-    rho, sigma and the Holevo mixtures.  The closed forms S_0 and S_1 are
-    the a = 0 and a = 1 cells of the first S_a call.  A trial's joint
+    rho, sigma and the Holevo mixtures, and the overlap grid takes the
+    compressed mixtures of the first S_a call.  The closed forms S_0 and
+    S_1 are the a = 0 and a = 1 cells of that call.  A trial's joint
     convexity a and Holevo p are picked from the grids by its index within
     its dimension.  Each check's margins are one array in record order
     (trial, then p, then a), reduced by its ``CheckStats`` in one step, so
@@ -512,9 +513,11 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
         [(rho, sigma), (rho2, sigma2)], [x[:, None, None] for x in jc_weights]
     )
 
+    a_all = a_grid + _LIMIT_A + (0.0, 1.0)
     with _block_spectra():
-        sa = telescopic_relative_entropy(rho, sigma, a_grid + _LIMIT_A + (0.0, 1.0))
-        overlaps = _overlap_grid(rho, sigma, p_grid, a_grid)
+        sa = telescopic_relative_entropy(rho, sigma, a_all)
+        # the overlaps of the S_a call's mixtures, at the a-grid's columns
+        overlaps = _overlap_grid(rho, sigma, p_grid, a_all)[:, :, :n_a]
         # the joint convexity call takes the second pairs, then the mixed pairs
         jc_sa = telescopic_relative_entropy(
             np.concatenate([rho2, mixed[0]]),

@@ -23,8 +23,8 @@ def rng():
 def linalg_calls(monkeypatch):
     """Count np.linalg.eigh/eigvalsh calls, and the matrices eigh gets in them
     ("eigh_matrices", a stacked call counts each of its matrices), starting
-    with an empty spectrum memo."""
-    from telent.matfun import _psd_spectrum_of_bytes
+    with no pair core kept."""
+    from telent.tre import _CORES
 
     calls = {"eigh": 0, "eigvalsh": 0, "eigh_matrices": 0}
     for name in ("eigh", "eigvalsh"):
@@ -35,6 +35,6 @@ def linalg_calls(monkeypatch):
             return _f(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    _psd_spectrum_of_bytes.cache_clear()
+    _CORES.clear()
     yield calls
-    _psd_spectrum_of_bytes.cache_clear()
+    _CORES.clear()

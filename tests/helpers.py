@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from telent.matfun import TOL_HERM, check_hermitian
+from telent.matfun import TOL_HERM, _psd_spectrum, check_hermitian
 from telent.states import (
     haar_random_pure,
     random_mixed_hs,
@@ -53,8 +53,21 @@ def mixed_strata_stack(rng, dim):
     return np.stack([r for r, _ in pairs]), np.stack([s for _, s in pairs])
 
 
+def state_power(rho, q):
+    """rho**q on the cut spectrum of a PSD operator, 0 <= q <= 1.
+
+    Eigenvalues at or below the rank cut are exact zeros and q = 0 gives
+    the support projector: the matrix-power form of the overlap
+    tr rho^(1-p) tau^p, which the package computes without forming powers.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"exponent must lie in [0, 1], got {q}")
+    dec, _ = _psd_spectrum(rho)
+    return dec.apply(_reference_pow(dec.eigenvalues, q))
+
+
 # Scalar references for the stacked kernels: the one-matrix, one-a sequence
-# of operations, without the spectrum memo or any stacking.  The stacked
+# of operations, without the pair core or any stacking.  The stacked
 # results must equal these bit for bit, so a platform whose stacked LAPACK
 # or BLAS calls round differently fails instead of drifting.
 
@@ -100,16 +113,26 @@ def reference_sa(rho, sigma, a):
     return _reference_clamp(_reference_clamp(value) / (-np.log(a)))
 
 
-def reference_power(rho, q):
-    """rho**q for 0 < q <= 1 on the cut spectrum."""
-    lam, U, _ = reference_psd_spectrum(rho)
-    return (U * lam**q) @ U.conj().T
+def _reference_pow(lam, q):
+    """lam**q on a cut spectrum, with x^0 the support mask."""
+    return lam**q if q > 0.0 else (lam > 0.0).astype(float)
 
 
-def reference_overlap(rho, tau, p):
-    """max(tr rho^(1-p) tau^p, 0)."""
-    value = float(np.real(np.trace(reference_power(rho, 1.0 - p) @ reference_power(tau, p))))
-    return max(value, 0.0)
+def reference_overlap(rho, sigma, p, a):
+    """tr rho^(1-p) tau^p of one pair at one a, tau = a*rho + (1-a)*sigma, as
+    sum_ij lam_i^(1-p) mu_j^p |(U_rho* V U_tau_c)_ij|^2: the cut spectra of
+    rho and of tau compressed to the joint support V, with x^0 the support
+    mask."""
+    lam, U, _ = reference_psd_spectrum((rho + sigma) / 2.0)
+    V = U[:, lam > 0.0]
+    rho_c = V.conj().T @ rho @ V
+    tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
+    mu, U_tau, _ = reference_psd_spectrum(tau_c)
+    lam_rho, U_rho, _ = reference_psd_spectrum(rho)
+    M = (U_rho.conj().T @ V) @ U_tau
+    weights = M.real**2 + M.imag**2
+    row = _reference_pow(lam_rho, 1.0 - p)[None, :]
+    return float((row @ weights @ _reference_pow(mu, p)[:, None])[0, 0])
 
 
 def _reference_entropy(rho):

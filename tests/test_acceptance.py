@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_pd, random_state_floor
+from helpers import random_hermitian, random_pd, random_state_floor, state_power
 from telent.cli import FIG1_A_VALUES, FigureSpec, figure_rows, main
 from telent.matfun import (
     frechet_log_map,
@@ -25,7 +25,7 @@ from telent.oracle import (
     quad_power,
     quad_tre,
 )
-from telent.renyi import renyi_overlap_telescoped, state_power, trre
+from telent.renyi import renyi_overlap_telescoped, trre
 from telent.states import (
     haar_random_pure,
     pure_from_vector,

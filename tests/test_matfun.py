@@ -4,8 +4,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import mixed_strata_stack, random_hermitian, random_pd, reference_trace_distance
-from telent import verify
+from helpers import (
+    mixed_strata_stack,
+    random_hermitian,
+    random_pd,
+    reference_trace_distance,
+    state_power,
+)
+from telent import tre, verify
 from telent.matfun import (
     _BLOCK_STORE,
     _block_spectra,
@@ -22,9 +28,10 @@ from telent.matfun import (
     trace_norm_distance,
 )
 from telent.oracle import finite_diff_frechet, quad_tre
-from telent.renyi import renyi_overlap, renyi_overlap_telescoped, state_power, trre
+from telent.renyi import renyi_overlap, renyi_overlap_telescoped, trre
 from telent.states import haar_unitary, is_orthogonal, telescope_mix
 from telent.tre import (
+    _pair_core,
     holevo_two,
     holevo_two_via_relative,
     relative_entropy,
@@ -143,12 +150,27 @@ class TestSupportProjector:
 
 
 class TestSpectrumMemo:
+    """The pair core (``tre._pair_core``): what one-pair calls derive from a
+    pair, kept per pair bytes."""
+
     def test_equal_input_decomposes_once(self, rng, linalg_calls):
-        A = random_pd(rng, 4)
-        first = _psd_spectrum(A)
-        assert _psd_spectrum(A.copy()) is first
-        assert _psd_spectrum(A.tolist()) is first
-        assert linalg_calls["eigh"] == 1
+        rho, sigma = random_pd(rng, 4), random_pd(rng, 4)
+        first = _pair_core(rho, sigma)
+        assert _pair_core(rho.copy(), sigma.copy()) is first
+        for r, s in ((rho, sigma), (rho.copy(), sigma.copy()), (rho.tolist(), sigma.tolist())):
+            telescopic_relative_entropy(r, s, 0.3)
+            tre_limit_zero(r, s)
+            tre_limit_one(r, s)
+            for p in (0.25, 0.75):
+                trre(r, s, p, 0.3)
+                renyi_overlap_telescoped(r, s, p, 0.3)
+        # one stacked eigh of rho and (rho+sigma)/2, one of sigma, and one
+        # of the compressed mixture at a = 0.3
+        assert linalg_calls["eigh"] == 3
+        assert linalg_calls["eigh_matrices"] == 4
+        # the swapped pair is another pair
+        tre_limit_one(sigma, rho)
+        assert linalg_calls["eigh"] == 4
 
     @pytest.mark.parametrize(
         "bad, match",
@@ -159,37 +181,63 @@ class TestSpectrumMemo:
         ],
     )
     def test_invalid_input_raises_every_call(self, bad, match, linalg_calls):
+        good = np.eye(2) / 2
+        # each call with the state it decomposes invalid
+        calls = [
+            lambda: tre_limit_zero(good, bad),
+            lambda: tre_limit_one(bad, good),
+            lambda: telescopic_relative_entropy(bad, good, 0.5),
+            lambda: trre(bad, good, 0.5, 0.5),
+        ]
         for _ in range(3):
-            with pytest.raises(ValueError, match=match):
-                _psd_spectrum(bad)
+            for call in calls:
+                with pytest.raises(ValueError, match=match):
+                    call()
 
     def test_in_place_change_is_seen(self, linalg_calls):
-        A = np.diag([0.25, 0.75])
-        before, _ = _psd_spectrum(A)
-        A[0, 0] = A[1, 1] = 0.5
-        after, _ = _psd_spectrum(A)
-        assert_allclose(before.eigenvalues, [0.25, 0.75])
-        assert_allclose(after.eigenvalues, [0.5, 0.5])
-        assert linalg_calls["eigh"] == 2
+        rho, sigma = np.diag([0.25, 0.75]), np.diag([1.0, 0.0])
+        before = telescopic_relative_entropy(rho, sigma, 0.5), trre(rho, sigma, 0.5, 0.5)
+        rho[0, 0] = rho[1, 1] = 0.5
+        after = telescopic_relative_entropy(rho, sigma, 0.5), trre(rho, sigma, 0.5, 0.5)
+        fresh = telescopic_relative_entropy(rho.copy(), sigma, 0.5)
+        assert before != after and after[0] == fresh
+        assert linalg_calls["eigh"] == 4
+
+    def test_kept_pairs_and_mixtures_are_bounded(self, rng, linalg_calls):
+        pairs = [(random_pd(rng, 3), random_pd(rng, 3)) for _ in range(tre._PAIR_CORES + 1)]
+        for rho, sigma in pairs:
+            tre_limit_zero(rho, sigma)
+        assert [core for _, core in tre._CORES] == [_pair_core(r, s) for r, s in pairs[:0:-1]]
+        # one eigh of sigma per pair
+        assert linalg_calls["eigh"] == len(pairs)
+        core = _pair_core(*pairs[-1])
+        grid = np.linspace(0.05, 0.95, tre._CORE_MIXTURES + 1)
+        for a in grid:
+            trre(*pairs[-1], 0.5, a)
+        assert list(core._mixtures) == grid[1:].tolist()
+        # the least recently used one is decomposed again; the joint eigh
+        # of rho and (rho+sigma)/2 is kept
+        trre(*pairs[-1], 0.5, grid[0])
+        assert linalg_calls["eigh"] == len(pairs) + 1 + len(grid) + 1
 
     def test_cached_arrays_read_only(self, rng, linalg_calls):
-        A = random_pd(rng, 3)
-        dec, _ = _psd_spectrum(A)
-        with pytest.raises(ValueError, match="read-only"):
-            dec.eigenvalues[0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            dec.eigenvectors[0, 0] = 1.0
-        # public results are fresh arrays, also when the memo hits
+        rho, sigma = random_pd(rng, 3), random_pd(rng, 3)
+        core = _pair_core(rho, sigma)
+        mixture = core.mixture(0.4)
+        joint = core.joint
+        kept = [joint.rho.eigenvalues, joint.rho.eigenvectors, core.sigma.eigenvectors]
+        kept += [joint.rho_c, joint.sig_c, joint.rho_in_V, mixture.mu, mixture.weights]
+        for array in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1.0
+        # public results are fresh arrays, also when the core is kept
         for _ in range(2):
             for out in (
-                support_basis(A),
-                support_projector(A),
-                state_power(A, 0.0),
-                state_power(A, 0.5),
-                state_power(A, 1.0),
+                telescopic_relative_entropy(rho, sigma, [0.4, 0.6]),
+                support_basis(rho),
+                support_projector(rho),
             ):
                 assert out.flags.writeable
-        assert linalg_calls["eigh"] == 1
 
 
 class TestRankCut:
@@ -386,8 +434,6 @@ class TestFrechetLogMap:
 
 class TestFrechetPowerMap:
     def test_power_identity(self, rng):
-        from telent.renyi import state_power
-
         for _ in range(10):
             A = random_pd(rng, 3)
             out = frechet_power_map(A, state_power(A, 0.5), 0.5)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import random_hermitian, random_pd, random_state_floor
+from helpers import random_hermitian, random_pd, random_state_floor, state_power
 from telent import oracle
 from telent.matfun import (
     frechet_log_map,
@@ -25,7 +25,6 @@ from telent.oracle import (
     quad_tre,
     rational_scheme,
 )
-from telent.renyi import state_power
 from telent.states import random_mixed_hs, random_orthogonal_pair
 from telent.tre import telescopic_relative_entropy
 

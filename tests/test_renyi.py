@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import mixed_strata_stack, random_pd, reference_overlap
-from telent.matfun import frechet_power_map, support_projector, trace_norm_distance
+from helpers import mixed_strata_stack, random_pd, reference_overlap, state_power
+from telent.matfun import _block_spectra, frechet_power_map, support_projector, trace_norm_distance
 from telent.renyi import (
     _overlap_grid,
     renyi_overlap,
     renyi_overlap_telescoped,
-    state_power,
     trre,
 )
+from telent.tre import telescopic_relative_entropy
 from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
@@ -100,23 +100,32 @@ class TestTelescopedOverlap:
 
 class TestOverlapGrid:
     @pytest.mark.parametrize("dim", [2, 3, 4, 6, 16, 64])
-    def test_bit_identical_to_scalar(self, dim):
+    def test_bit_identical_to_scalar(self, dim, linalg_calls):
         rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
-        p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9)
+        p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
         grid = _overlap_grid(rho, sigma, p_grid, a_grid)
         reference = [
-            [[reference_overlap(r, a * r + (1.0 - a) * s, p) for a in a_grid] for p in p_grid]
+            [[reference_overlap(r, s, p, a) for a in a_grid[:-1]] for p in p_grid]
             for r, s in zip(rho, sigma)
         ]
         scalar = [
-            [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid] for p in p_grid]
+            [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid[:-1]] for p in p_grid]
             for r, s in zip(rho, sigma)
         ]
         assert grid.shape == (len(rho), len(p_grid), len(a_grid))
-        # bit for bit, the sign of zero included
-        assert grid.tobytes() == np.array(reference).tobytes()
+        # bit for bit, the sign of zero included; the grid holds the
+        # interior cells of the S_a call and NaN at a = 0 and a = 1
+        assert grid[:, :, 1:-1].tobytes() == np.array(reference)[:, :, 1:].tobytes()
+        assert np.isnan(grid[:, :, [0, -1]]).all()
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
-
+        # in a block, after the S_a call on the same grid, every spectrum
+        # comes from the store, and the values stay the same
+        with _block_spectra():
+            telescopic_relative_entropy(rho, sigma, a_grid)
+            before = linalg_calls["eigh"]
+            in_block = _overlap_grid(rho, sigma, p_grid, a_grid)
+        assert linalg_calls["eigh"] == before
+        assert in_block.tobytes() == grid.tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_endpoint_orders_keep_the_support_convention(self, p):
@@ -124,13 +133,14 @@ class TestOverlapGrid:
         rho, sigma = mixed_strata_stack(np.random.default_rng(5), 3)
         for r, s in zip(rho, sigma):
             for a in (0.0, 0.3):
-                expected = renyi_overlap(r, telescope_mix(r, s, a), p)
-                assert renyi_overlap_telescoped(r, s, p, a) == expected
+                value = renyi_overlap_telescoped(r, s, p, a)
+                assert value == reference_overlap(r, s, p, a)
+                tau = telescope_mix(r, s, a)
+                powers = np.trace(state_power(r, 1.0 - p) @ state_power(tau, p)).real
+                assert value == pytest.approx(powers, abs=1e-12)
         grid = _overlap_grid(rho, sigma, (p,), (0.0, 0.3))
-        assert grid.tolist() == [
-            [[renyi_overlap_telescoped(r, s, p, a) for a in (0.0, 0.3)]]
-            for r, s in zip(rho, sigma)
-        ]
+        assert np.isnan(grid[:, 0, 0]).all()
+        assert grid[:, 0, 1].tolist() == [renyi_overlap_telescoped(r, s, p, 0.3) for r, s in zip(rho, sigma)]
 
 
 class TestTrre:

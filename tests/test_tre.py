@@ -16,7 +16,7 @@ from helpers import (
 )
 from telent import matfun
 from telent.renyi import _overlap_grid
-from telent.matfun import _psd_spectra, _psd_spectrum_of_bytes, support_basis, trace_norm_distance
+from telent.matfun import _psd_spectra, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
     qubit_pair_with_angle,
@@ -26,6 +26,7 @@ from telent.states import (
 )
 from telent.verify import FuzzConfig, run_fuzz
 from telent.tre import (
+    _CORES,
     _limits,
     _sum_xlogx,
     binary_entropy,
@@ -220,21 +221,27 @@ class TestStackedKernel:
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
 
     def test_stack_calls_leave_the_memo_alone(self):
-        # a stack's cost must not depend on what earlier calls left behind
+        # a stack's cost must not depend on what earlier calls left behind:
+        # only the one-pair calls keep a pair core
         rho, sigma = mixed_strata_stack(np.random.default_rng(3), 3)
         p = np.linspace(0.0, 1.0, len(rho))
-        _psd_spectrum_of_bytes.cache_clear()
+        _CORES.clear()
         telescopic_relative_entropy(rho, sigma, STACK_A)
         telescopic_relative_entropy(rho[0], sigma[0], STACK_A)
         for f in (holevo_two, holevo_two_via_relative):
             f(p, rho, sigma)
             f(0.3, rho, sigma)
             f(0.3, rho[:1], sigma[:1])
+            f(0.3, rho[0], sigma[0])
         trace_norm_distance(rho, sigma)
+        relative_entropy(rho[0], sigma[0])
+        von_neumann_entropy(rho[0])
         # a stack of one pair is a stack too, in a sweep block or not
         _overlap_grid(rho[:1], sigma[:1], (0.5,), (0.1, 0.5))
         run_fuzz(FuzzConfig(dims=(32,), trials=1))
-        assert _psd_spectrum_of_bytes.cache_info().currsize == 0
+        assert not _CORES
+        tre_limit_zero(rho[0], sigma[0])
+        assert len(_CORES) == 1
 
     def test_per_pair_rows_and_shapes(self, rng):
         rho, sigma = mixed_strata_stack(rng, 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_sample_pair
-from telent import cli, renyi, tre, verify
+from telent import cli, tre, verify
 from telent.cli import FIGURE_IDS, FigureSpec, figure_rows
 from telent.matfun import trace_norm_distance
 from telent.renyi import renyi_overlap_telescoped, trre
@@ -437,15 +437,21 @@ class TestRankCutInTheSweep:
     def test_knife_edge_seeds_pass(self, seed):
         assert run_fuzz(FuzzConfig(dims=(2, 3, 4), trials=16, seed=seed)).passed
 
+    # near-singular states: the extrapolation from fixed nodes misses S_0
+    # (S_1) while a (1 - a) is not far below the least eigenvalue of sigma
+    # (rho).  3438314566: sigma with lambda_min 1.8e-9 at trial 40
+    # (limit_zero -9.7e-3, limit_cauchy -1.3e-2); 451392458: the limit_one
+    # mirror, a faithful rho with lambda_min 9.5e-9 at trial 32 (-1.14e-3
+    # against a tolerance of 1e-3).
     @pytest.mark.xfail(
         strict=True,
-        reason="near-singular sigma: the a -> 0 extrapolation from fixed nodes "
-        "misses S_0 while a is not far below lambda_min(sigma)",
+        reason="near-singular state: the endpoint extrapolation from fixed nodes "
+        "misses the closed form while a is not far below its least eigenvalue",
     )
-    @pytest.mark.parametrize("seed", [2213080472, 3361175558])
-    def test_near_singular_sigma_seeds_pass(self, seed):
+    @pytest.mark.parametrize("seed", [2213080472, 3361175558, 3438314566, 451392458])
+    def test_near_singular_seeds_pass(self, seed):
         report = run_fuzz(FuzzConfig(dims=(2, 3, 4), trials=16, seed=seed))
-        assert report.checks["limit_zero"].failures == 0
+        assert all(report.checks[name].failures == 0 for name in ("limit_zero", "limit_one"))
 
 
 class TestBlocks:
@@ -501,10 +507,11 @@ class TestWorkCount:
         for p in self.P_GRID:
             for a in self.A_GRID:
                 trre(rho, sigma, p, a)
-        # one eigh per distinct matrix: rho, sigma, and per a the mixture
-        # compressed to the joint support and the full mixture, whose a = 1/2
-        # member is (rho+sigma)/2 bit for bit
-        assert linalg_calls["eigh"] <= 12
+        # the pair's core takes one stacked eigh of rho and (rho+sigma)/2 and
+        # one of sigma, and each a adds one of the mixture compressed to the
+        # joint support, which S_a and every Q_{p,a} share
+        assert linalg_calls["eigh"] <= 7
+        assert linalg_calls["eigh_matrices"] <= 8
         assert linalg_calls["eigvalsh"] <= 1
 
     def test_fuzz_trial(self, linalg_calls, monkeypatch):
@@ -513,16 +520,6 @@ class TestWorkCount:
         monkeypatch.setattr(
             verify, "state_to_jsonable", lambda rho: serialised.append(1) or to_json(rho)
         )
-        powers = []
-        state_power = renyi.state_power
-        for module in (renyi, verify):
-            # verify holds no state_power; patching it anyway counts one it gains
-            monkeypatch.setattr(
-                module,
-                "state_power",
-                lambda rho, q: powers.append(q) or state_power(rho, q),
-                raising=False,
-            )
         sa_calls = []
         sa = verify.telescopic_relative_entropy
         monkeypatch.setattr(
@@ -569,11 +566,11 @@ class TestWorkCount:
         # from stacked eigh calls that share one store, so rho, sigma and the
         # Holevo mixture are decomposed once per trial.  eigh matrices per
         # trial: 14 for the S_a grid (sigma at a = 0, rho at a = 1, the joint
-        # support and 11 mixtures), 6 for joint convexity, 5 overlap
-        # mixtures, the Holevo mixture and its compression to its support,
-        # which both relative entropies share.
+        # support and 11 mixtures), whose mixtures the overlap grid takes
+        # too, 6 for joint convexity, the Holevo mixture and its compression
+        # to its support, which both relative entropies share.
         assert linalg_calls["eigh"] <= 1 * trials
-        assert linalg_calls["eigh_matrices"] <= 27 * trials
+        assert linalg_calls["eigh_matrices"] <= 22 * trials
         # T of a block is one stacked eigvalsh
         assert linalg_calls["eigvalsh"] <= blocks
         # the a-grid with the limit nodes and the endpoints, whose cells are
@@ -583,8 +580,6 @@ class TestWorkCount:
         assert holevo_calls.count("holevo_two") <= blocks
         assert holevo_calls.count("holevo_two_via_relative") <= blocks
         assert not limit_calls
-        # the TRRE grid takes rho^(1-p) once per p and tau_a^p once per (p, a)
-        assert len(powers) <= 18 * trials
         # only each check's final witness is serialised: rho and sigma, plus
         # the second pair of the joint convexity check
         assert len(serialised) <= 2 * len(report.checks) + 2
