@@ -7,7 +7,9 @@ fractional powers, and the telescopic relative entropy itself -- plus
 central finite differences.  These paths deliberately avoid the
 eigendecomposition route used by the main implementation: matrix work is
 done with LU-based inverses/solves and, for finite differences, with
-scipy's Pade/Schur matrix functions.
+Schur-Parlett evaluation (``scipy.linalg.funm``), which uses neither
+``eigh`` nor divided differences.  Positive semidefiniteness is tested
+by Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -167,8 +169,10 @@ def quad_projector_integral(
     resolution of the log-stretched window).
     """
     rho = np.asarray(rho, dtype=complex)
-    if float(np.linalg.eigvalsh(rho)[0]) < -1e-10:
-        raise ValueError("projector integral requires a PSD matrix")
+    try:
+        np.linalg.cholesky(rho + 1e-10 * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ValueError("projector integral requires a PSD matrix") from None
     sch = scheme if scheme is not None else log_scheme()
     _require_kind(sch, "log")
     R = _shifted_inverses(rho, sch.nodes)
@@ -238,10 +242,11 @@ def finite_diff_frechet(kind: str, A, Delta, h: float, p: float | None = None) -
     """Central-difference derivative (f(A + h Delta) - f(A - h Delta))/(2h).
 
     ``kind`` is "log" or "power" (the latter needs the order ``p``).
-    Second-order accurate in h; matrix functions are evaluated with
-    scipy's inverse-scaling-and-squaring / Schur algorithms, independent
-    of the divided-difference path.  Raises if the step drives A +- h
-    Delta indefinite.
+    Second-order accurate in h.  Matrix functions are evaluated by
+    Schur-Parlett (``scipy.linalg.funm``: a LAPACK Schur form, diagonal up
+    to roundoff for the Hermitian steps, and the Parlett recurrence), so
+    neither ``eigh`` nor the divided-difference path is involved.  Raises
+    if the step drives A +- h Delta indefinite or a value is not finite.
     """
     if kind not in ("log", "power"):
         raise ValueError(f'kind must be "log" or "power", got {kind!r}')
@@ -253,11 +258,17 @@ def finite_diff_frechet(kind: str, A, Delta, h: float, p: float | None = None) -
     minus = A - h * Delta
     for M in (plus, minus):
         _cholesky_pd(M)
-    if kind == "log":
-        f_plus, f_minus = scipy.linalg.logm(plus), scipy.linalg.logm(minus)
-    else:
-        if p is None or not 0.0 < p < 1.0:
-            raise ValueError(f"power kind needs an order p in (0, 1), got {p}")
-        f_plus = scipy.linalg.fractional_matrix_power(plus, p)
-        f_minus = scipy.linalg.fractional_matrix_power(minus, p)
+    if kind == "power" and (p is None or not 0.0 < p < 1.0):
+        raise ValueError(f"power kind needs an order p in (0, 1), got {p}")
+    f_plus, f_minus = (_schur_parlett(kind, M, p) for M in (plus, minus))
     return hermitian_part((f_plus - f_minus) / (2.0 * h))
+
+
+def _schur_parlett(kind: str, M: np.ndarray, p: float | None) -> np.ndarray:
+    """log M or M**p by Schur-Parlett, raising if the value is not finite."""
+    func = np.log if kind == "log" else (lambda x: x**p)
+    # disp=False returns funm's error estimate instead of printing a warning.
+    F, _ = scipy.linalg.funm(M, func, disp=False)
+    if not np.all(np.isfinite(F)):
+        raise ValueError(f"{kind} of a finite-difference step is not finite")
+    return F

@@ -1,7 +1,12 @@
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -147,6 +152,17 @@ class TestProjectorIntegral:
         with pytest.raises(ValueError, match="PSD"):
             quad_projector_integral(np.diag([1.0, -1.0]))
 
+    def test_psd_tolerance(self, rng):
+        """A Cholesky of rho + 1e-10 I draws the line at lambda_min = -1e-10."""
+        Q, _ = np.linalg.qr(random_hermitian(rng, 3))
+        for floor, ok in ((-2e-10, False), (-5e-11, True)):
+            rho = Q @ np.diag([0.6, 0.4, floor]) @ Q.conj().T
+            if ok:
+                assert np.all(np.isfinite(quad_projector_integral(rho)))
+            else:
+                with pytest.raises(ValueError, match="requires a PSD matrix"):
+                    quad_projector_integral(rho)
+
 
 class TestQuadTre:
     def test_equal_states(self, rng):
@@ -247,10 +263,81 @@ class TestFiniteDiff:
             ratios.append(e1 / e2)
         assert np.median(ratios) == pytest.approx(4.0, abs=0.5)
 
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
+    def test_order_two_convergence_power(self, rng, p):
+        ratios = []
+        for _ in range(20):
+            A = random_pd(rng, 3, floor=0.2)
+            D = random_hermitian(rng, 3)
+            exact = frechet_power_map(A, D, p)
+            e1 = np.abs(finite_diff_frechet("power", A, D, 1e-4, p=p) - exact).max()
+            e2 = np.abs(finite_diff_frechet("power", A, D, 5e-5, p=p) - exact).max()
+            ratios.append(e1 / e2)
+        assert np.median(ratios) == pytest.approx(4.0, abs=0.5)
+
     def test_zero_direction(self, rng):
         A = random_pd(rng, 3)
         out = finite_diff_frechet("log", A, np.zeros((3, 3)), 1e-4)
         assert np.abs(out).max() == 0.0
+
+    def test_zero_direction_power(self, rng):
+        A = random_pd(rng, 3)
+        out = finite_diff_frechet("power", A, np.zeros((3, 3)), 1e-4, p=0.3)
+        assert np.abs(out).max() == 0.0
+
+    def test_steps_match_reference_algorithms(self, rng):
+        """Schur-Parlett values of the steps A +- h Delta agree with scipy's
+        inverse scaling and squaring (logm, fractional_matrix_power)."""
+        h = 1e-4
+        for d in (2, 3, 4, 6, 8):
+            for p in np.linspace(0.1, 0.9, 5):
+                A = random_pd(rng, d)
+                D = random_hermitian(rng, d)
+                for M in (A + h * D, A - h * D):
+                    log = oracle._schur_parlett("log", M, None)
+                    power = oracle._schur_parlett("power", M, p)
+                    assert np.abs(log - scipy.linalg.logm(M)).max() <= 1e-13
+                    assert np.abs(power - scipy.linalg.fractional_matrix_power(M, p)).max() <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["log", "power"])
+    @pytest.mark.parametrize("gap", [0.0, 1e-15, 1e-12])
+    def test_degenerate_spectrum_is_silent(self, rng, capsys, kind, gap):
+        """Repeated and nearly repeated eigenvalues print nothing and warn
+        nothing: stdout carries the CLI's and the benchmark's output."""
+        Q, _ = np.linalg.qr(random_hermitian(rng, 3))
+        A = Q @ np.diag([0.3, 0.3 + gap, 0.4]) @ Q.conj().T
+        D = random_hermitian(rng, 3)
+        p = 0.4 if kind == "power" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = finite_diff_frechet(kind, A, D, 1e-4, p=p)
+        assert np.all(np.isfinite(out))
+        exact = frechet_log_map(A, D) if kind == "log" else frechet_power_map(A, D, p)
+        assert np.abs(out - exact).max() <= 1e-6
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_value_rejected(self, rng, monkeypatch):
+        A = random_pd(rng, 2)
+        monkeypatch.setattr(
+            oracle.scipy.linalg, "funm", lambda M, func, disp: (np.full_like(M, np.nan), np.inf)
+        )
+        with pytest.raises(ValueError, match="not finite"):
+            finite_diff_frechet("log", A, np.eye(2), 1e-4)
+
+    def test_does_not_import_scipy_sparse(self):
+        src = str(Path(oracle.__file__).parents[1])
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import numpy as np\n"
+            "import telent.oracle as o\n"
+            "A = np.diag([0.3, 0.7]); D = np.array([[0.0, 1.0], [1.0, 0.5]])\n"
+            "o.finite_diff_frechet('log', A, D, 1e-4)\n"
+            "o.finite_diff_frechet('power', A, D, 1e-4, p=0.4)\n"
+            "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_indefinite_step_rejected(self):
         A = np.diag([1e-6, 1.0])
