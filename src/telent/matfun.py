@@ -3,17 +3,13 @@
 Eigendecomposition with the PSD cutoff every quantity shares, support
 projectors, the trace norm distance, and the divided-difference
 derivative maps of the matrix logarithm and of fractional matrix powers.
-Everything here is a pure function of its inputs.
-
-``_psd_spectra`` alone decides where a stack's spectra come from: the
-block store inside a ``_block_spectra`` scope, else a fresh eigh.  The
-one-pair calls keep what they derive from a pair in ``tre._pair_core``.
+Everything here is a pure function of its inputs: ``_psd_spectra``
+decomposes every stack afresh.  What the quantities share of a pair's
+spectra is kept by ``tre._Core``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,19 +28,13 @@ _EPS_RANK = 2.0**-52
 # form by O(1).
 _RANK_CUT_MIN_DIM = 16
 # The mixture floor, dim * _EPS_RANK * lambda_max, is the least eigenvalue
-# the log of a telescoped mixture takes (``tre._cross_terms``): genuine
+# the log of a telescoped mixture takes (``tre._Core.cells``): genuine
 # mixture eigenvalues a * nu sink that low at deep a and must not count as
 # kernel there.
 
 # Relative gap below which divided differences switch to the midpoint
 # derivative to avoid catastrophic cancellation.
 _DD_NEAR = 1e-8
-
-# The stacked spectra kept by ``_psd_spectra`` while a ``_block_spectra``
-# scope is open, keyed on (shape, bytes) of the whole stack; None outside.
-_BLOCK_STORE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "_BLOCK_STORE", default=None
-)
 
 
 @dataclass(frozen=True)
@@ -125,32 +115,8 @@ def _psd_spectrum(A) -> tuple[SpectralDecomposition, np.ndarray]:
     the support.  Returns the decomposition and the uncut eigenvalues
     floored at the mixture floor.
     """
-    dec, floored = _decompose_stack(np.asarray(A, dtype=complex)[None])
+    dec, floored = _psd_spectra(np.asarray(A, dtype=complex)[None])
     return SpectralDecomposition(dec.eigenvalues[0], dec.eigenvectors[0]), floored[0]
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    """Make each array read-only, so a kept result cannot be changed."""
-    for array in arrays:
-        array.flags.writeable = False
-
-
-@contextlib.contextmanager
-def _block_spectra():
-    """Scope in which ``_psd_spectra`` decomposes each distinct stack once.
-
-    Inside it, a stack whose shape and bytes equal those of a stack already
-    decomposed in the scope gets the stored result back, so the quantities
-    of one block of pairs share the spectra of rho, sigma and their
-    mixtures.  Only stacks that passed validation are stored, and their
-    arrays are read-only.  The store is dropped when the scope exits, also
-    by an exception.
-    """
-    token = _BLOCK_STORE.set({})
-    try:
-        yield
-    finally:
-        _BLOCK_STORE.reset(token)
 
 
 def _psd_spectra(H) -> tuple[SpectralDecomposition, np.ndarray]:
@@ -158,35 +124,20 @@ def _psd_spectra(H) -> tuple[SpectralDecomposition, np.ndarray]:
     uncut eigenvalues floored at the mixture floor, shape (n, r).
 
     Each matrix gets the validation of ``_hermitian_stack`` (the first
-    invalid one raises its error) and the kernel cut of ``_psd_spectrum``.
-    This is the one place that decides where a stack's spectra come from:
-
-    * inside a ``_block_spectra`` scope, from the block store, which keeps
-      each distinct stack's result, read-only, until the scope exits;
-    * otherwise, from a fresh stacked eigh, so a call's work never
-      depends on earlier calls.
+    invalid one raises its error) and the kernel cut of ``_psd_spectrum``,
+    from a fresh stacked eigh, so a call's work never depends on earlier
+    calls.
 
     Rejection uses the looser level dim * TOL_HERM * lambda_max: inputs
     pass as Hermitian with entrywise asymmetry up to TOL_HERM, which alone
     moves eigenvalues that far, and eigh roundoff on a zero eigenvalue can
     exceed the rank cut.  eigh on a stack returns per matrix the bits it
-    returns for that matrix alone, so no value depends on the source or on
-    what else is in the stack.
+    returns for that matrix alone, so no value depends on what else is in
+    the stack.  The first matrix that is not PSD raises, naming its least
+    eigenvalue.
     """
-    H = np.asarray(H, dtype=complex)
-    store = _BLOCK_STORE.get()
-    if store is not None:
-        key = (H.shape, H.tobytes())
-        if key not in store:
-            dec, floored = store[key] = _decompose_stack(H)
-            _read_only(dec.eigenvalues, dec.eigenvectors, floored)
-        return store[key]
-    return _decompose_stack(H)
-
-
-def _decompose_stack(H: np.ndarray) -> tuple[SpectralDecomposition, np.ndarray]:
-    """``_psd_spectra`` from a fresh eigh, without the store."""
-    lam, U = np.linalg.eigh(_hermitian_stack(H))
+    H = _hermitian_stack(H)
+    lam, U = np.linalg.eigh(H)
     dim = H.shape[1]
     top = lam[:, -1]
     # max(top, 0.0) as Python takes it
@@ -227,9 +178,7 @@ def trace_norm_distance(rho, sigma):
     which returns a Python float, or (N, d, d) for a stack of N pairs,
     which returns an (N,) float array.  A stack's differences go to one
     stacked eigvalsh, which returns per matrix the bits of a single call,
-    so every element is the one-pair value.  The differences are not kept
-    in the block store of ``_block_spectra``: no other quantity decomposes
-    them.
+    so every element is the one-pair value.
 
     For density-matrix inputs this equals the sum of positive eigenvalues
     of the difference and lies in [0, 1].

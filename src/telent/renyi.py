@@ -12,33 +12,18 @@ mixture compressed to V, tau_c = V* tau V = sum_j mu_j |w_j><w_j|,
     tr rho^(1-p) tau^p = sum_ij lambda_i^(1-p) mu_j^p |(U_rho* V U_tau_c)_ij|^2.
 
 The weights |(U_rho* V U_tau_c)_ij|^2 depend on a but not on p, and they
-come from the same decomposition of tau_c that S_a takes its log of.
-Powers follow the support conventions: the cut kernel of rho and of
-tau_c is exactly 0, 0^q = 0 for q > 0, and x^0 is 1 on the support and 0
-on the kernel, so rho^0 and tau^0 are the support projectors.
+come from the same decomposition of tau_c that S_a takes its log of: both
+read the spectral core of the pair (``tre._Core``), whose ``overlaps``
+evaluates this sum for a stack of pairs over a (p, a) grid.  Powers
+follow the support conventions: the cut kernel of rho and of tau_c is
+exactly 0, 0^q = 0 for q > 0, and x^0 is 1 on the support and 0 on the
+kernel, so rho^0 and tau^0 are the support projectors.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .matfun import _as_pair, _psd_spectra
-from .tre import _in_basis, _interior_rows, _mixture_groups, _overlap_weights, _pair_core
-
-
-def _pow(lam: np.ndarray, q: float) -> np.ndarray:
-    """lam**q on cut spectra, 0 <= q <= 1, with x^0 the support mask."""
-    # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
-    return lam**q if q > 0.0 else (lam > 0.0).astype(float)
-
-
-def _overlaps(lam: np.ndarray, mu: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """sum_ij lam_i^(1-p) mu_j^p W_ij per cell: the cut spectra of rho (n, d)
-    and of the compressed mixtures (n, r), and the weights W (n, d, r).
-
-    Every term is nonnegative, so the sum is too."""
-    row = _pow(lam, 1.0 - p)[:, None, :]
-    return (row @ weights @ _pow(mu, p)[:, :, None])[:, 0, 0]
+from .matfun import _as_pair
+from .tre import _pair_core
 
 
 def renyi_overlap(rho, sigma, p: float) -> float:
@@ -51,36 +36,6 @@ def renyi_overlap(rho, sigma, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
     return renyi_overlap_telescoped(rho, sigma, p, 0.0)
-
-
-def _overlap_grid(rho, sigma, p_grid, a_grid) -> np.ndarray:
-    """Telescoped overlaps of a stack of pairs over a (p, a) grid.
-
-    ``rho`` and ``sigma`` have shape (N, d, d); the result has shape
-    (N, len(p_grid), len(a_grid)) and holds tr rho^(1-p) tau^p with
-    tau = a*rho + (1-a)*sigma at each interior a (0 < a < 1), each element
-    bit for bit what the one-pair call computes, and NaN at a = 0 and
-    a = 1.  The mixtures are those of the ``S_a`` call on the same pairs
-    and a-grid (``tre._mixture_groups``), and rho is the stack that call
-    decomposes, so inside a sweep block, after that call, every spectrum
-    comes from the store.  The weights are one product per cell, and each
-    p is one stacked product per rank group.
-    """
-    grid = np.broadcast_to(np.asarray(a_grid, dtype=float), (len(rho), len(a_grid)))
-    out = np.full((len(rho), len(p_grid), grid.shape[1]), np.nan)
-    interior, rows = _interior_rows(grid)
-    if not rows.size:
-        return out
-    states, _ = _psd_spectra(rho[rows])
-    for cells in _mixture_groups(rho, sigma, grid, interior, rows):
-        dec, _ = cells.tau
-        rho_in_V = _in_basis(states.eigenvectors[cells.group], cells.V)
-        weights = _overlap_weights(rho_in_V[cells.j], dec.eigenvectors)
-        lam = states.eigenvalues[cells.group][cells.j]
-        i = rows[cells.group][cells.j]
-        for m, p in enumerate(p_grid):
-            out[i, m, cells.k] = _overlaps(lam, dec.eigenvalues, weights, p)
-    return out
 
 
 def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
@@ -96,9 +51,7 @@ def renyi_overlap_telescoped(rho, sigma, p: float, a: float) -> float:
     rho, sigma = _as_pair(rho, sigma)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Renyi order p must lie in [0, 1], got {p}")
-    core = _pair_core(rho, sigma)
-    mixture = core.mixture(a)
-    return float(_overlaps(core.joint.rho.eigenvalues, mixture.mu, mixture.weights, p)[0])
+    return float(_pair_core(rho, sigma).overlaps((p,), [[a]])[0, 0, 0])
 
 
 def trre(rho, sigma, p: float, a: float) -> float:

@@ -6,6 +6,10 @@ and the entropy quantities it is built from and checked against (von
 Neumann entropy, relative entropy with support semantics, binary
 entropy, and the two-state Holevo quantity).
 
+``_Core`` is the spectral core of a stack of pairs, from which S_a, its
+limits, the telescoped Renyi overlaps and the sweep's Holevo paths take
+their spectra.
+
 All entropies are natural-log (nats).  The telescopic quantities are
 dimensionless ratios and independent of the log base.
 """
@@ -17,13 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matfun import (
-    SpectralDecomposition,
-    _as_pair,
-    _hermitian_stack,
-    _psd_spectra,
-    _read_only,
-)
+from .matfun import SpectralDecomposition, _as_pair, _hermitian_stack, _psd_spectra
 
 # Mass of rho allowed outside the support of sigma before the relative
 # entropy is declared infinite.
@@ -32,8 +30,8 @@ EPS_SUPP = 1e-10
 # Entropy values in [-_NEG_CLAMP, 0) are roundoff and clamped to zero.
 _NEG_CLAMP = 1e-10
 
-# Number of pairs whose one-pair results ``_pair_core`` keeps, and of
-# telescoping parameters per pair whose mixtures a core keeps.
+# Number of pairs whose cores ``_pair_core`` keeps, and of grids of
+# telescoping parameters whose mixtures a core keeps.
 _PAIR_CORES = 2
 _CORE_MIXTURES = 8
 
@@ -43,6 +41,12 @@ def _clamp_entropy(value):
     if isinstance(value, float):
         return 0.0 if -_NEG_CLAMP <= value < 0.0 else value
     return np.where((-_NEG_CLAMP <= value) & (value < 0.0), 0.0, value)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Make each array read-only, so a kept result cannot be changed."""
+    for array in arrays:
+        array.flags.writeable = False
 
 
 def _rank_groups(lam: np.ndarray):
@@ -79,14 +83,19 @@ def _sum_xlogx(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropies(states: np.ndarray) -> np.ndarray:
-    """``von_neumann_entropy`` of each matrix of a stack (n, d, d)."""
-    return _clamp_entropy(-_sum_xlogx(_psd_spectra(states)[0].eigenvalues))
+def _xlogx(states: np.ndarray) -> np.ndarray:
+    """``_sum_xlogx`` of each matrix of a stack (n, d, d), from a fresh eigh."""
+    return _sum_xlogx(_psd_spectra(states)[0].eigenvalues)
+
+
+def _entropy(xlogx):
+    """The von Neumann entropy from sum lambda log lambda, clamped."""
+    return _clamp_entropy(-xlogx)
 
 
 def von_neumann_entropy(rho) -> float:
     """- tr rho log rho; zero for pure states, log(dim) for maximally mixed."""
-    return float(_entropies(np.asarray(rho)[None])[0])
+    return float(_entropy(_xlogx(np.asarray(rho)[None]))[0])
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -97,25 +106,29 @@ def relative_entropy(rho, sigma) -> float:
     support of sigma and the result is finite and nonnegative.
     """
     rho, sigma = _as_pair(rho, sigma)
-    (value,) = _relative_entropies([rho[None]], sigma[None], [np.ones(1, dtype=bool)])
+    rho, sigma = rho[None], sigma[None]
+    dec, _ = _psd_spectra(sigma)
+    used = [np.ones(1, dtype=bool)]
+    (value,) = _relative_entropies([rho], [_xlogx(rho)], sigma, dec, used)
     return float(value[0])
 
 
-def _relative_entropies(states, sigma, used) -> list[np.ndarray]:
+def _relative_entropies(states, xlogx, sigma, dec, used) -> list[np.ndarray]:
     """``relative_entropy`` of each stack in ``states`` against ``sigma``.
 
-    ``states`` holds (N, d, d) stacks and ``used`` an (N,) mask for each;
-    pair i of a stack is compared with sigma[i] where its mask is true and
-    gets 0.0 elsewhere.  Per pair the support of sigma, the compression of
-    sigma to it and the log of that compression are computed once, and
-    only if some used state stays inside the support.  Pairs are grouped
-    by the rank of that support, in order of first appearance; a group is
-    compressed in one stacked product, and its compressed sigmas are
-    decomposed in one eigh without the PSD cut.  Each element follows the
-    one-pair sequence, so its value is the one-pair value bit for bit.
+    ``states`` holds (N, d, d) stacks, ``xlogx`` the sum lambda log lambda
+    of each stack's states, (N,), and ``used`` an (N,) mask for each;
+    ``dec`` is the cut spectra of ``sigma``.  Pair i of a stack is compared with
+    sigma[i] where its mask is true and gets 0.0 elsewhere.  Per pair the
+    compression of sigma to its support and the log of that compression
+    are computed once, and only if some used state stays inside the
+    support.  Pairs are grouped by the rank of that support, in order of
+    first appearance; a group is compressed in one stacked product, and
+    its compressed sigmas are decomposed in one eigh without the PSD cut.
+    Each element follows the one-pair sequence, so its value is the
+    one-pair value bit for bit.
     """
     n = len(sigma)
-    dec, _ = _psd_spectra(sigma)
     inside = [np.zeros(n, dtype=bool) for _ in states]
     cross = [np.zeros(n) for _ in states]
     for rank, pairs in _rank_groups(dec.eigenvalues):
@@ -136,11 +149,9 @@ def _relative_entropies(states, sigma, used) -> list[np.ndarray]:
             product = state_c[sel] @ log_sig[sel[need]]
             out[pairs[sel]] = np.trace(product, axis1=1, axis2=2).real
     values = []
-    for state, use, ins, out in zip(states, used, inside, cross):
+    for x, use, ins, out in zip(xlogx, used, inside, cross):
         value = np.where(use, np.inf, 0.0)
-        if ins.any():
-            xlogx = _sum_xlogx(_psd_spectra(state[ins])[0].eigenvalues)
-            value[ins] = _clamp_entropy(xlogx - out[ins])
+        value[ins] = _clamp_entropy(x[ins] - out[ins])
         values.append(value)
     return values
 
@@ -162,9 +173,9 @@ def telescopic_relative_entropy(rho, sigma, a):
     (the test suite checks this against a scalar reference).  Those
     mixtures are held at once, about K times the size of the input, so a
     caller with a large stack passes it in blocks, as ``run_fuzz`` does.
-    Only the one-pair, scalar-``a`` call reads and fills the pair's core
-    (``_pair_core``); anything else takes every spectrum from stacked eigh
-    calls, so its work does not depend on earlier calls.
+    Only the one-pair, scalar-``a`` call reads and fills the pair's kept
+    core (``_pair_core``); anything else evaluates a fresh ``_Core``, so
+    its work does not depend on earlier calls.
 
     Always finite: the mixture dominates a*rho, so rho never leaves its
     support.  The endpoints a = 0 and a = 1 dispatch to the closed-form
@@ -190,8 +201,7 @@ def telescopic_relative_entropy(rho, sigma, a):
         )
     rho, sigma = _as_pair(rho, sigma)
     if rho.ndim == 2 and grid.ndim == 0:
-        # one pair at one a: the same steps without the stack bookkeeping
-        return _pair_value(rho, sigma, float(grid))
+        return float(_pair_core(rho, sigma).sa(grid.reshape(1, 1))[0, 0])
     if rho.ndim == 3:
         shape = (len(rho),)
         if grid.ndim:
@@ -200,15 +210,7 @@ def telescopic_relative_entropy(rho, sigma, a):
     else:
         shape = grid.shape
         rho, sigma, grid = rho[None], sigma[None], grid.reshape(1, -1)
-    values = _stack_values(rho, sigma, grid)
-    return values.reshape(shape) if shape else float(values[0, 0])
-
-
-def _compress(V, rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Both states compressed to the range of the orthonormal columns V;
-    one pair or a stack of them."""
-    Vh = V.conj().swapaxes(-1, -2)
-    return Vh @ rho @ V, Vh @ sigma @ V
+    return _Core(rho, sigma).sa(grid).reshape(shape)
 
 
 def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
@@ -226,218 +228,239 @@ def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
     return _clamp_entropy(1.0 - traces)
 
 
-def _mixture_spectra(rho_c, sig_c, a) -> tuple[SpectralDecomposition, np.ndarray]:
-    """PSD spectra of the compressed mixtures a*rho_c + (1-a)*sig_c of n
-    cells (n, r, r) at their a-values (n,), with their uncut eigenvalues
-    floored at the mixture floor; one stacked eigh."""
-    a_c = a[:, None, None]
-    return _psd_spectra(a_c * rho_c + (1.0 - a_c) * sig_c)
+def _pow(lam: np.ndarray, q: float) -> np.ndarray:
+    """lam**q on cut spectra, 0 <= q <= 1, with x^0 the support mask."""
+    # the kernel is exactly 0, so 0**q = 0 for q > 0; q = 0 needs the mask
+    return lam**q if q > 0.0 else (lam > 0.0).astype(float)
 
 
-def _cross_terms(rho_c, tau) -> np.ndarray:
-    """tr rho_c log tau_c for n cells: the compressed states (n, r, r) and
-    the mixture spectra ``tau`` of ``_mixture_spectra``.  The log takes the
-    floored eigenvalues."""
-    dec, floored = tau
-    log_tau = dec.apply(np.log(floored))
-    return np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
+def _overlaps(lam: np.ndarray, mu: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
+    """sum_ij lam_i^(1-p) mu_j^p W_ij per cell: the cut spectra of rho (n, d)
+    and of the compressed mixtures (n, r), and the weights W (n, d, r).
+
+    Every term is nonnegative, so the sum is too."""
+    row = _pow(lam, 1.0 - p)[:, None, :]
+    return (row @ weights @ _pow(mu, p)[:, :, None])[:, 0, 0]
 
 
-def _in_basis(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """U* V per pair of a stack: the columns of V in the eigenbasis U."""
-    return U.conj().swapaxes(-1, -2) @ V
+class _Support(NamedTuple):
+    """A core's pairs of one joint-support rank, V their joint support."""
 
-
-def _overlap_weights(rho_in_V: np.ndarray, U_tau: np.ndarray) -> np.ndarray:
-    """|(U_rho* V U_tau_c)_ij|^2 per cell, from U_rho* V and the
-    eigenvectors of the compressed mixture."""
-    M = rho_in_V @ U_tau
-    return M.real**2 + M.imag**2
-
-
-def _ratio(xlogx, cross, neg_log):
-    """(sum rho log rho - tr rho_c log tau_c) / (-log a), clamped."""
-    return _clamp_entropy(_clamp_entropy(xlogx - cross) / neg_log)
-
-
-class _Group(NamedTuple):
-    """The interior cells of one joint-support rank group of a grid."""
-
-    group: np.ndarray  # the group's positions among the rows with interior cells
-    V: np.ndarray  # the joint support of each of its pairs (n, d, r)
-    j: np.ndarray  # per cell, its pair's position in the group
-    k: np.ndarray  # per cell, its column of the grid
-    rho_c: np.ndarray  # per cell, rho compressed to the joint support
-    tau: tuple  # per cell, the spectra of ``_mixture_spectra``
-
-
-def _interior_rows(grid):
-    """The mask of interior cells (0 < a < 1) of an (N, K) grid and the
-    rows that hold one."""
-    interior = (grid > 0.0) & (grid < 1.0)
-    return interior, np.flatnonzero(interior.any(axis=1))
-
-
-def _mixture_groups(rho, sigma, grid, interior, rows):
-    """Per joint-support rank, in order of first appearance, the compressed
-    mixtures of the interior cells of ``rows`` (see ``_Group``).
-
-    The joint supports of ``rows`` are one stacked eigh, and each group's
-    mixtures, in row-major order, are one more.  Inside a sweep block the
-    store hands every spectrum of a second pass over the same stacks and
-    grid back without an eigh.
-    """
-    dec, _ = _psd_spectra((rho[rows] + sigma[rows]) / 2.0)
-    for rank, group in _rank_groups(dec.eigenvalues):
-        pairs = rows[group]
-        V = _support(dec.eigenvectors, group, rank)
-        rho_c, sig_c = _compress(V, rho[pairs], sigma[pairs])
-        j, k = np.nonzero(interior[pairs])
-        tau = _mixture_spectra(rho_c[j], sig_c[j], grid[pairs[j], k])
-        yield _Group(group, V, j, k, rho_c[j], tau)
-
-
-def _stack_values(rho, sigma, grid) -> np.ndarray:
-    """S_a of N pairs (N, d, d) at an (N, K) grid of a-values.
-
-    Every spectrum comes from a stacked eigh, in this order: sigma of the
-    rows with an a = 0 cell and rho of the rows with an a = 1 cell (one
-    closed form per row); the mixtures of ``_mixture_groups``; then rho.
-    The order decides which invalid matrix raises first.  Each element
-    follows the one-pair sequence, so its value is the one-pair value bit
-    for bit.
-    """
-    values = np.empty(grid.shape)
-    for end, state, other in ((0.0, rho, sigma), (1.0, sigma, rho)):
-        at_end = grid == end
-        rows = np.flatnonzero(at_end.any(axis=1))
-        if rows.size:
-            limits = np.empty(len(rho))
-            limits[rows] = _limits(state[rows], _psd_spectra(other[rows])[0])
-            i, k = np.nonzero(at_end)
-            values[i, k] = limits[i]
-    interior, rows = _interior_rows(grid)
-    if not rows.size:
-        return values
-    cross, neg_log = np.empty((2, *grid.shape))
-    for cells in _mixture_groups(rho, sigma, grid, interior, rows):
-        i, k = rows[cells.group][cells.j], cells.k
-        cross[i, k], neg_log[i, k] = _cross_terms(cells.rho_c, cells.tau), -np.log(grid[i, k])
-    xlogx = np.empty(len(rho))
-    xlogx[rows] = _sum_xlogx(_psd_spectra(rho[rows])[0].eigenvalues)
-    i, k = np.nonzero(interior)
-    values[i, k] = _ratio(xlogx[i], cross[i, k], neg_log[i, k])
-    return values
+    pairs: np.ndarray  # the pairs, in increasing order
+    rho_c: np.ndarray  # rho compressed to V, shape (n, r, r)
+    sig_c: np.ndarray  # sigma compressed to V
+    rho_in_V: np.ndarray  # U_rho* V, shape (n, d, r)
 
 
 class _Joint(NamedTuple):
-    """What S_a and the overlaps take from a pair, from one stacked eigh of
-    rho and (rho+sigma)/2, whose support V is the joint support."""
+    """What a core takes from one stacked eigh of rho and (rho+sigma)/2,
+    whose support is the joint support."""
 
-    rho: SpectralDecomposition  # the PSD spectrum of rho, a stack of one
-    xlogx: np.floating  # sum lambda log lambda of rho
-    rho_c: np.ndarray  # rho compressed to V, shape (1, r, r)
-    sig_c: np.ndarray  # sigma compressed to V
-    rho_in_V: np.ndarray  # U_rho* V, shape (1, d, r)
+    rho: SpectralDecomposition  # the cut spectra of rho, shape (N, d)
+    xlogx: np.ndarray  # sum lambda log lambda of rho, shape (N,)
+    supports: tuple  # a _Support per joint-support rank, in order of first appearance
 
 
-class _Mixture(NamedTuple):
-    """What a pair's calls take from its compressed mixture at one a."""
+class _Cells:
+    """The compressed mixtures tau_c of one joint-support rank at one grid.
 
-    cross: np.floating  # tr rho_c log tau_c
-    mu: np.ndarray  # the cut eigenvalues of tau_c, shape (1, r)
-    weights: np.ndarray  # |(U_rho* V U_tau_c)_ij|^2, shape (1, d, r)
+    Per cell: its pair ``i`` and its column ``k`` of the grid,
+    ``relative``, S(rho || tau) = sum rho log rho - tr rho_c log tau_c
+    clamped, and ``mu``, the cut eigenvalues of tau_c, shape (n, r).  The
+    overlap weights are taken on first use, so S_a alone does not pay for
+    their products.  Every array is read-only.
+    """
+
+    def __init__(self, i, k, relative, mu, rho_in_V, j, U_tau) -> None:
+        self.i, self.k, self.relative, self.mu = i, k, relative, mu
+        # U_rho* V of the rank's pairs, each cell's position among them, and
+        # the eigenvectors of tau_c
+        self._factors = rho_in_V, j, U_tau
+        _read_only(i, k, relative, mu)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """|(U_rho* V U_tau_c)_ij|^2, shape (n, d, r)."""
+        rho_in_V, j, U_tau = self._factors
+        del self._factors
+        M = rho_in_V[j] @ U_tau
+        weights = M.real**2 + M.imag**2
+        _read_only(weights)
+        return weights
 
 
-class _PairCore:
-    """What the one-pair calls on one pair (rho, sigma) derive from it.
+class _Core:
+    """The spectral core of N pairs (rho, sigma), stacks (N, d, d).
 
-    Each part is computed on first use: ``sigma``, the PSD spectrum of
-    sigma, which only S_0 reads; ``joint`` (see ``_Joint``); and
-    ``mixture(a)``, which decomposes the compressed mixture at a once and
-    keeps what S_a and the overlaps take from it for the last
-    ``_CORE_MIXTURES`` values of a.  Each part is made by the code the
-    stacked calls run, on stacks of one, so every value is the stacked
-    value bit for bit.  Every array is read-only.
+    S_a, its limits S_0 and S_1, the telescoped overlaps and the Holevo
+    paths of ``holevo`` take their spectra from it.  Its parts are
+    computed on first use:
+
+    * ``sigma_spectra``, the cut spectra of sigma, for S_0 and Holevo;
+    * ``joint`` (see ``_Joint``): one stacked eigh of rho over
+      (rho+sigma)/2 gives rho's spectra, for S_1, sum lambda log lambda
+      and the overlaps, and per joint-support rank V the pairs compressed
+      to V and U_rho* V;
+    * ``cells(grid)``: per rank, one stacked eigh of the compressed
+      mixtures tau_c = a*rho_c + (1-a)*sig_c at the grid's cells with
+      a < 1, which gives S(rho || tau) from tr rho_c log tau_c, the cut
+      eigenvalues mu of tau_c and the overlap weights.  The last
+      ``_CORE_MIXTURES`` grids are kept.
+
+    The eigh calls run in the order in which the parts are first used, so
+    S_a takes sigma (if a cell is at a = 0), then the joint stack (rho
+    first), then the mixtures rank by rank; the first invalid matrix in
+    that order names the error.  A part whose input fails validation is
+    never kept, so it raises on every use, and every kept array is
+    read-only.  eigh on a stack returns per matrix the bits it returns for
+    that matrix alone, so every value is the one-pair value bit for bit.
     """
 
     def __init__(self, rho: np.ndarray, sigma: np.ndarray) -> None:
-        self._pair = rho, sigma
-        self._mixtures: dict[float, _Mixture] = {}
+        self.rho, self.sigma = rho, sigma
+        self._cells: dict[bytes, list[_Cells]] = {}
+
+    def _grid(self, a) -> np.ndarray:
+        """``a`` as an (N, K) grid, read only; a (K,) grid is every pair's."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim == 2 and len(a) == len(self.rho):
+            return a
+        grid = np.empty((len(self.rho), a.shape[-1]))
+        grid[...] = a
+        return grid
 
     @functools.cached_property
-    def sigma(self) -> SpectralDecomposition:
-        dec, _ = _psd_spectra(self._pair[1][None])
+    def sigma_spectra(self) -> SpectralDecomposition:
+        dec, _ = _psd_spectra(self.sigma)
         _read_only(dec.eigenvalues, dec.eigenvectors)
         return dec
 
     @functools.cached_property
     def joint(self) -> _Joint:
-        rho, sigma = self._pair
-        dec, _ = _psd_spectra(np.stack([rho, (rho + sigma) / 2.0]))
-        # copies, so the core does not hold the spectrum of (rho+sigma)/2
-        lam, U = dec.eigenvalues[:1].copy(), dec.eigenvectors[:1].copy()
-        ((rank, rows),) = _rank_groups(dec.eigenvalues[1:])
-        V = _support(dec.eigenvectors[1:], rows, rank)
-        (xlogx,) = _sum_xlogx(lam)
-        rho_c, sig_c = _compress(V, rho[None], sigma[None])
-        rho_in_V = _in_basis(U, V)
-        _read_only(lam, U, rho_c, sig_c, rho_in_V)
-        return _Joint(SpectralDecomposition(lam, U), xlogx, rho_c, sig_c, rho_in_V)
+        rho, sigma, n = self.rho, self.sigma, len(self.rho)
+        dec, _ = _psd_spectra(np.concatenate([rho, (rho + sigma) / 2.0]))
+        # copies, so the core does not hold the spectra of (rho+sigma)/2
+        lam, U = dec.eigenvalues[:n].copy(), dec.eigenvectors[:n].copy()
+        supports = []
+        for rank, pairs in _rank_groups(dec.eigenvalues[n:]):
+            V = _support(dec.eigenvectors[n:], pairs, rank)
+            Vh = V.conj().swapaxes(-1, -2)
+            support = _Support(
+                pairs, Vh @ rho[pairs] @ V, Vh @ sigma[pairs] @ V,
+                U[pairs].conj().swapaxes(-1, -2) @ V,
+            )
+            _read_only(*support)
+            supports.append(support)
+        xlogx = _sum_xlogx(lam)
+        _read_only(lam, U, xlogx)
+        return _Joint(SpectralDecomposition(lam, U), xlogx, tuple(supports))
 
-    def mixture(self, a: float) -> _Mixture:
-        """The compressed mixture a*rho_c + (1-a)*sig_c, kept in use order."""
-        found = self._mixtures.pop(a, None)
+    def cells(self, grid: np.ndarray) -> list[_Cells]:
+        """The compressed mixtures at the cells of an (N, K) grid with a < 1.
+
+        Per joint-support rank, in the order of ``joint``, the rank's cells
+        in row-major order and their mixtures in one stacked eigh.  Kept,
+        most recently used last, for the last ``_CORE_MIXTURES`` grids,
+        keyed on the grid's bytes (N is the core's, so they fix K).
+        """
+        key = grid.tobytes()
+        found = self._cells.pop(key, None)
         if found is None:
-            joint = self.joint
-            tau = _mixture_spectra(joint.rho_c, joint.sig_c, np.array([a]))
-            (cross,) = _cross_terms(joint.rho_c, tau)
-            dec, _ = tau
-            weights = _overlap_weights(joint.rho_in_V, dec.eigenvectors)
-            found = _Mixture(cross, dec.eigenvalues, weights)
-            _read_only(dec.eigenvalues, weights)
-            if len(self._mixtures) == _CORE_MIXTURES:
-                del self._mixtures[next(iter(self._mixtures))]
-        self._mixtures[a] = found
+            mixed = grid < 1.0
+            if not mixed.any():
+                return []
+            found = []
+            for support in self.joint.supports:
+                j, k = np.nonzero(mixed[support.pairs])
+                if not j.size:
+                    continue
+                i = support.pairs[j]
+                a_c = grid[i, k][:, None, None]
+                rho_c = support.rho_c[j]
+                dec, floored = _psd_spectra(a_c * rho_c + (1.0 - a_c) * support.sig_c[j])
+                # the log takes the eigenvalues floored at the mixture floor
+                log_tau = dec.apply(np.log(floored))
+                cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
+                relative = _clamp_entropy(self.joint.xlogx[i] - cross)
+                mu, U_tau = dec.eigenvalues, dec.eigenvectors
+                found.append(_Cells(i, k, relative, mu, support.rho_in_V, j, U_tau))
+            if len(self._cells) == _CORE_MIXTURES:
+                del self._cells[next(iter(self._cells))]
+        self._cells[key] = found
         return found
+
+    def sa(self, a) -> np.ndarray:
+        """S_a of the pairs at a grid of a in [0, 1], (K,) for every pair or
+        (N, K) with a row per pair; shape (N, K).
+
+        The a = 0 and a = 1 cells are the closed-form limits; every other
+        cell is (sum rho log rho - tr rho_c log tau_c) / (-log a), clamped.
+        """
+        grid = self._grid(a)
+        values = np.empty(grid.shape)
+        at_zero = grid == 0.0
+        i, k = at_zero.nonzero()
+        if i.size:
+            values[i, k] = _limits(self.rho, self.sigma_spectra)[i]
+        i, k = (grid == 1.0).nonzero()
+        if i.size:
+            values[i, k] = _limits(self.sigma, self.joint.rho)[i]
+        # the a = 0 cells move to a = 1, which takes no mixture
+        for cells in self.cells(grid + at_zero):
+            i, k = cells.i, cells.k
+            values[i, k] = _clamp_entropy(cells.relative / -np.log(grid[i, k]))
+        return values
+
+    def overlaps(self, p_grid, a) -> np.ndarray:
+        """Telescoped overlaps tr rho^(1-p) tau^p over a (p, a) grid, with
+        tau = a*rho + (1-a)*sigma and ``a`` as for ``sa``.
+
+        Shape (N, len(p_grid), K), NaN at a = 1.  Each p is one stacked
+        product per rank of the cells that ``sa`` takes at the same grid.
+        """
+        grid = self._grid(a)
+        out = np.full((len(grid), len(p_grid), grid.shape[1]), np.nan)
+        for cells in self.cells(grid):
+            lam = self.joint.rho.eigenvalues[cells.i]
+            for m, p in enumerate(p_grid):
+                out[cells.i, m, cells.k] = _overlaps(lam, cells.mu, cells.weights, p)
+        return out
+
+    def holevo(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both Holevo paths at one weight per pair, (N,): by entropies and
+        by relative entropies, with one eigh of the mixtures for both."""
+        mix = _mix(w, self.rho, self.sigma)
+        dec, _ = _psd_spectra(mix)
+        xlogx = self.joint.xlogx, _sum_xlogx(self.sigma_spectra.eigenvalues)
+        chi = _holevo(w, _sum_xlogx(dec.eigenvalues), *xlogx)
+        return chi, _holevo_relative(w, self.rho, self.sigma, xlogx, mix, dec)
 
 
 # The kept cores, most recently used first, each with its key: the shape
 # and the bytes of both states.  A linear scan compares keys by memcmp,
 # where a dict would hash every byte of the inputs on every call.
-_CORES: list[tuple[tuple, _PairCore]] = []
+_CORES: list[tuple[tuple, _Core]] = []
 
 
-def _pair_core(rho: np.ndarray, sigma: np.ndarray) -> _PairCore:
-    """The core of a pair of complex arrays of one shape.
+def _pair_core(rho: np.ndarray, sigma: np.ndarray) -> _Core:
+    """The core of one pair of complex arrays (d, d), a stack of one.
 
     Kept for the last ``_PAIR_CORES`` distinct pairs, keyed on the shape
     and the exact bytes of both, so each part of a pair's core is computed
     once while the pair stays among them, and every value is the one a
     fresh core gives.  A core reads its states from the key's bytes, so a
-    later change to the caller's arrays cannot reach it.  A part whose
-    input fails validation is never kept, so it raises on every call.
+    later change to the caller's arrays cannot reach it.
     """
     key = (rho.shape, rho.tobytes(), sigma.tobytes())
     for i, (kept, core) in enumerate(_CORES):
         if kept == key:
             _CORES.insert(0, _CORES.pop(i))
             return core
-    core = _PairCore(*(np.frombuffer(data, dtype=complex).reshape(rho.shape) for data in key[1:]))
+    stacks = (np.frombuffer(data, dtype=complex).reshape(1, *rho.shape) for data in key[1:])
+    core = _Core(*stacks)
     _CORES.insert(0, (key, core))
     del _CORES[_PAIR_CORES:]
     return core
-
-
-def _pair_value(rho, sigma, a: float) -> float:
-    """S_a of one pair at one a, from the pair's core."""
-    core = _pair_core(rho, sigma)
-    if a == 0.0:
-        return float(_limits(rho[None], core.sigma)[0])
-    if a == 1.0:
-        return float(_limits(sigma[None], core.joint.rho)[0])
-    (neg_log,) = -np.log(np.array([a]))
-    return float(_ratio(core.joint.xlogx, core.mixture(a).cross, neg_log))
 
 
 def tre_limit_zero(rho, sigma) -> float:
@@ -445,14 +468,12 @@ def tre_limit_zero(rho, sigma) -> float:
 
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
-    rho, sigma = _as_pair(rho, sigma)
-    return _pair_value(rho, sigma, 0.0)
+    return float(_pair_core(*_as_pair(rho, sigma)).sa([[0.0]])[0, 0])
 
 
 def tre_limit_one(rho, sigma) -> float:
     """a -> 1 limit: 1 - tr sigma {rho}.  Zero whenever rho is faithful."""
-    rho, sigma = _as_pair(rho, sigma)
-    return _pair_value(rho, sigma, 1.0)
+    return float(_pair_core(*_as_pair(rho, sigma)).sa([[1.0]])[0, 0])
 
 
 def tre_pure_closed_form(t: float, a: float) -> float:
@@ -496,11 +517,10 @@ def binary_entropy(p: float) -> float:
 
 
 def _ensemble(p, rho, sigma):
-    """The Holevo functions' inputs as stacks: (w, rho, sigma, mix, one).
+    """The Holevo functions' inputs as stacks: (w, rho, sigma, one).
 
-    ``p`` is checked and broadcast to one weight per pair, ``mix`` is
-    w*rho + (1-w)*sigma per pair, and ``one`` marks a one-pair call, whose
-    inputs become stacks of one.
+    ``p`` is checked and broadcast to one weight per pair, and ``one``
+    marks a one-pair call, whose inputs become stacks of one.
     """
     w = np.asarray(p, dtype=float)
     for x in w.ravel().tolist():
@@ -511,9 +531,31 @@ def _ensemble(p, rho, sigma):
     one = rho.ndim != 3
     if one:
         rho, sigma = rho[None], sigma[None]
-    w = np.broadcast_to(w, (len(rho),))
-    w_c = w.reshape((-1,) + (1,) * (rho.ndim - 1))
-    return w, rho, sigma, w_c * rho + (1.0 - w_c) * sigma, one
+    return np.broadcast_to(w, (len(rho),)), rho, sigma, one
+
+
+def _mix(w, rho, sigma) -> np.ndarray:
+    """w*rho + (1-w)*sigma per pair of the stacks, one weight per pair."""
+    w_c = w[:, None, None]
+    return w_c * rho + (1.0 - w_c) * sigma
+
+
+def _holevo(w, xlogx_mix, xlogx_rho, xlogx_sigma):
+    """The Holevo quantity by entropies, from sum lambda log lambda of the
+    mixtures, of rho and of sigma."""
+    entropies = _entropy(xlogx_rho), _entropy(xlogx_sigma)
+    return _clamp_entropy(_entropy(xlogx_mix) - w * entropies[0] - (1.0 - w) * entropies[1])
+
+
+def _holevo_relative(w, rho, sigma, xlogx, mix, dec):
+    """The Holevo quantity by relative entropies against the mixtures
+    ``mix``, whose cut spectra are ``dec``; ``xlogx`` holds sum lambda log
+    lambda of rho and of sigma."""
+    weights = (w, 1.0 - w)
+    used = [weight > 0.0 for weight in weights]
+    s_rho, s_sigma = _relative_entropies((rho, sigma), xlogx, mix, dec, used)
+    # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
+    return _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
 
 
 def holevo_two(p, rho, sigma):
@@ -528,13 +570,10 @@ def holevo_two(p, rho, sigma):
     with one probability per pair.  One pair returns a Python float, a
     stack an (N,) float array whose elements are the one-pair values bit
     for bit.  A stack's mixtures, rho and sigma are decomposed as three
-    stacks, which a sweep block shares through its store with ``S_a`` and
-    ``holevo_two_via_relative``.
+    stacks.
     """
-    w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
-    value = _clamp_entropy(
-        _entropies(mix) - w * _entropies(rho) - (1.0 - w) * _entropies(sigma)
-    )
+    w, rho, sigma, one = _ensemble(p, rho, sigma)
+    value = _holevo(w, *(_xlogx(x) for x in (_mix(w, rho, sigma), rho, sigma)))
     return float(value[0]) if one else value
 
 
@@ -547,12 +586,10 @@ def holevo_two_via_relative(p, rho, sigma):
 
     Shapes as for ``holevo_two``.  A stack's pairs are grouped by the rank
     of the mixture's support; the mixtures, rho and sigma are decomposed
-    as whole stacks, which a sweep block takes from its store.
+    as whole stacks.
     """
-    w, rho, sigma, mix, one = _ensemble(p, rho, sigma)
-    weights = (w, 1.0 - w)
-    used = [weight > 0.0 for weight in weights]
-    s_rho, s_sigma = _relative_entropies((rho, sigma), mix, used)
-    # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
-    value = _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
+    w, rho, sigma, one = _ensemble(p, rho, sigma)
+    mix = _mix(w, rho, sigma)
+    dec, _ = _psd_spectra(mix)
+    value = _holevo_relative(w, rho, sigma, (_xlogx(rho), _xlogx(sigma)), mix, dec)
     return float(value[0]) if one else value

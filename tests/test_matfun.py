@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +16,6 @@ from helpers import (
 )
 from telent import tre, verify
 from telent.matfun import (
-    _BLOCK_STORE,
-    _block_spectra,
-    _decompose_stack,
     _hermitian_stack,
     _psd_spectra,
     _psd_spectrum,
@@ -143,15 +143,15 @@ class TestSupportProjector:
     def test_first_matrix_that_is_not_psd_is_named(self):
         H = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2]), np.diag([1.6, -0.6])])
         with pytest.raises(ValueError) as excinfo:
-            _decompose_stack(H.astype(complex))
+            _psd_spectra(H.astype(complex))
         assert str(excinfo.value) == (
             "matrix is not positive semidefinite: eigenvalue -2.000000e-01 below -2.400e-10"
         )
 
 
 class TestSpectrumMemo:
-    """The pair core (``tre._pair_core``): what one-pair calls derive from a
-    pair, kept per pair bytes."""
+    """The pair core (``tre._pair_core``): the core of one pair, which the
+    one-pair calls keep per pair bytes."""
 
     def test_equal_input_decomposes_once(self, rng, linalg_calls):
         rho, sigma = random_pd(rng, 4), random_pd(rng, 4)
@@ -214,7 +214,7 @@ class TestSpectrumMemo:
         grid = np.linspace(0.05, 0.95, tre._CORE_MIXTURES + 1)
         for a in grid:
             trre(*pairs[-1], 0.5, a)
-        assert list(core._mixtures) == grid[1:].tolist()
+        assert list(core._cells) == [np.array([[a]]).tobytes() for a in grid[1:]]
         # the least recently used one is decomposed again; the joint eigh
         # of rho and (rho+sigma)/2 is kept
         trre(*pairs[-1], 0.5, grid[0])
@@ -223,11 +223,8 @@ class TestSpectrumMemo:
     def test_cached_arrays_read_only(self, rng, linalg_calls):
         rho, sigma = random_pd(rng, 3), random_pd(rng, 3)
         core = _pair_core(rho, sigma)
-        mixture = core.mixture(0.4)
-        joint = core.joint
-        kept = [joint.rho.eigenvalues, joint.rho.eigenvectors, core.sigma.eigenvectors]
-        kept += [joint.rho_c, joint.sig_c, joint.rho_in_V, mixture.mu, mixture.weights]
-        for array in kept:
+        core.sa([[0.0, 0.4, 1.0]])
+        for array in _kept_arrays(core):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 1.0
         # public results are fresh arrays, also when the core is kept
@@ -279,61 +276,105 @@ class TestRankCut:
         assert floored[0] == 3 * self.EPS * lam_max and floored[1] == 0.25
 
 
+def _kept_arrays(core) -> list:
+    """Every array a core keeps."""
+    joint = core.joint
+    kept = [core.sigma_spectra.eigenvalues, core.sigma_spectra.eigenvectors]
+    kept += [joint.rho.eigenvalues, joint.rho.eigenvectors, joint.xlogx]
+    for support in joint.supports:
+        kept += list(support)
+    for cells in core._cells.values():
+        kept += [a for c in cells for a in (c.i, c.k, c.relative, c.mu, c.weights)]
+    return kept
+
+
+@pytest.fixture
+def block_cores(monkeypatch):
+    """Weak references to the cores that ``verify`` builds, in order."""
+    made = []
+
+    class Recorded(tre._Core):
+        def __init__(self, rho, sigma):
+            super().__init__(rho, sigma)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(verify, "_Core", Recorded)
+    return made
+
+
 class TestBlockStore:
+    """A sweep block keeps its spectra in one core (``tre._Core``) of the
+    block's pairs, its store, which is dropped with the block."""
+
     def test_equal_stack_decomposes_once_in_a_scope(self, rng, linalg_calls):
-        H = np.stack([random_pd(rng, 3) for _ in range(4)])
-        with _block_spectra():
-            first = _psd_spectra(H)
-            assert _psd_spectra(H.copy()) is first
-            # the key is the whole stack, so a part of it is decomposed again
-            _psd_spectra(H[:3])
+        rho, sigma = (np.stack([random_pd(rng, 3) for _ in range(4)]) for _ in range(2))
+        core = tre._Core(rho, sigma)
+        grid = (0.3, 0.6)
+        first = core.sa(grid)
+        # rho over (rho+sigma)/2, and the mixtures of the one joint-support rank
         assert linalg_calls["eigh"] == 2
-        # outside a scope nothing is stored
-        assert _psd_spectra(H) is not _psd_spectra(H)
-        assert linalg_calls["eigh"] == 4
+        assert core.sa(np.array(grid)).tobytes() == first.tobytes()
+        core.overlaps((0.25, 0.75), grid)
+        assert linalg_calls["eigh"] == 2
+        # sigma, then the Holevo mixtures and their compressions to their support
+        core.sa((0.0, 1.0))
+        core.holevo(np.full(4, 0.5))
+        assert linalg_calls["eigh"] == 5
+        # the key is the whole grid, so a part of it is decomposed again
+        core.overlaps((0.5,), grid[:1])
+        assert linalg_calls["eigh"] == 6
+        # a fresh core of the same stacks decomposes again
+        assert tre._Core(rho, sigma).sa(grid).tobytes() == first.tobytes()
+        assert linalg_calls["eigh"] == 8
+        assert not tre._CORES
 
     def test_stored_arrays_read_only(self, rng):
-        H = np.stack([random_pd(rng, 3) for _ in range(2)])
-        with _block_spectra():
-            dec, cut = _psd_spectra(H)
-        for array in (dec.eigenvalues, dec.eigenvectors, cut):
+        rho, sigma = (np.stack([random_pd(rng, 3) for _ in range(2)]) for _ in range(2))
+        core = tre._Core(rho, sigma)
+        values = core.sa((0.0, 0.4, 1.0))
+        core.overlaps((0.5,), (0.0, 0.4))
+        for array in _kept_arrays(core):
             with pytest.raises(ValueError, match="read-only"):
-                array[0] = 1.0
-        assert _psd_spectra(H)[0].eigenvalues.flags.writeable
+                array.flat[0] = 1.0
+        assert values.flags.writeable
 
     def test_invalid_stack_raises_every_call(self, linalg_calls):
-        H = np.stack([np.eye(2) / 2, np.diag([1.2, -0.2])])
-        with _block_spectra():
-            for _ in range(2):
+        half = np.eye(2) / 2
+        rho = np.stack([half, np.diag([1.2, -0.2])]).astype(complex)
+        core = tre._Core(rho, np.stack([half, half]).astype(complex))
+        calls = [
+            lambda: core.sa((0.5,)),
+            lambda: core.overlaps((0.5,), (0.5,)),
+            # its mixtures are PSD, so the joint stack raises after them
+            lambda: core.holevo(np.full(2, 0.5)),
+        ]
+        for _ in range(2):
+            for call in calls:
                 with pytest.raises(ValueError, match="positive semidefinite"):
-                    _psd_spectra(H)
-        assert linalg_calls["eigh"] == 2
+                    call()
+        assert linalg_calls["eigh"] == 8
 
-    def test_sweep_opens_and_drops_its_store(self, monkeypatch):
-        sizes = []
-        holevo = verify.holevo_two
-
-        def counting(p, rho, sigma):
-            sizes.append(len(_BLOCK_STORE.get()))
-            return holevo(p, rho, sigma)
-
-        monkeypatch.setattr(verify, "holevo_two", counting)
+    def test_sweep_opens_and_drops_its_store(self, block_cores):
         config = verify.FuzzConfig(dims=(2, 3), trials=4, seed=1)
         report = verify.run_fuzz(config)
-        # S_a, the overlaps and joint convexity have filled the store by then
-        assert len(sizes) == len(config.dims) and min(sizes) > 0
-        assert _BLOCK_STORE.get() is None
+        # one core per block, none left alive, and no pair core kept
+        assert len(block_cores) == len(config.dims)
         verify.replay_witness(report.checks["holevo"].witness)
-        assert _BLOCK_STORE.get() is None
+        assert len(block_cores) == len(config.dims) + 1
+        gc.collect()
+        assert all(core() is None for core in block_cores)
+        assert not tre._CORES
 
-    def test_store_dropped_after_a_block_that_raised(self):
+    def test_store_dropped_after_a_block_that_raised(self, block_cores):
         config = verify.FuzzConfig(trials=1)
         bad = np.diag([1.2, -0.2]).astype(complex)
         block = verify._one_trial(bad, np.eye(2) / 2, np.eye(2) / 2, np.eye(2) / 2, 0.5)
         checks = verify._fresh_checks(config.slack)
         with pytest.raises(ValueError, match="positive semidefinite"):
             verify._record_block(config.a_grid, config.p_grid, checks, block)
-        assert _BLOCK_STORE.get() is None
+        gc.collect()
+        assert len(block_cores) == 1 and block_cores[0]() is None
+        assert not tre._CORES
 
 
 class TestTraceNormDistance:

@@ -3,14 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import mixed_strata_stack, random_pd, reference_overlap, state_power
-from telent.matfun import _block_spectra, frechet_power_map, support_projector, trace_norm_distance
+from telent.matfun import frechet_power_map, support_projector, trace_norm_distance
 from telent.renyi import (
-    _overlap_grid,
     renyi_overlap,
     renyi_overlap_telescoped,
     trre,
 )
-from telent.tre import telescopic_relative_entropy
+from telent.tre import _Core
 from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
@@ -103,7 +102,7 @@ class TestOverlapGrid:
     def test_bit_identical_to_scalar(self, dim, linalg_calls):
         rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
         p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
-        grid = _overlap_grid(rho, sigma, p_grid, a_grid)
+        grid = _Core(rho, sigma).overlaps(p_grid, a_grid)
         reference = [
             [[reference_overlap(r, s, p, a) for a in a_grid[:-1]] for p in p_grid]
             for r, s in zip(rho, sigma)
@@ -113,19 +112,18 @@ class TestOverlapGrid:
             for r, s in zip(rho, sigma)
         ]
         assert grid.shape == (len(rho), len(p_grid), len(a_grid))
-        # bit for bit, the sign of zero included; the grid holds the
-        # interior cells of the S_a call and NaN at a = 0 and a = 1
-        assert grid[:, :, 1:-1].tobytes() == np.array(reference)[:, :, 1:].tobytes()
-        assert np.isnan(grid[:, :, [0, -1]]).all()
+        # bit for bit, the sign of zero included, and NaN at a = 1
+        assert grid[:, :, :-1].tobytes() == np.array(reference).tobytes()
+        assert np.isnan(grid[:, :, -1]).all()
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
-        # in a block, after the S_a call on the same grid, every spectrum
-        # comes from the store, and the values stay the same
-        with _block_spectra():
-            telescopic_relative_entropy(rho, sigma, a_grid)
-            before = linalg_calls["eigh"]
-            in_block = _overlap_grid(rho, sigma, p_grid, a_grid)
+        # on one core, after S_a at the same grid, the overlaps take its
+        # mixtures, and the values stay the same
+        core = _Core(rho, sigma)
+        core.sa(a_grid[1:])
+        before = linalg_calls["eigh"]
+        shared = core.overlaps(p_grid, a_grid[1:])
         assert linalg_calls["eigh"] == before
-        assert in_block.tobytes() == grid.tobytes()
+        assert shared.tobytes() == grid[:, :, 1:].tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_endpoint_orders_keep_the_support_convention(self, p):
@@ -138,9 +136,10 @@ class TestOverlapGrid:
                 tau = telescope_mix(r, s, a)
                 powers = np.trace(state_power(r, 1.0 - p) @ state_power(tau, p)).real
                 assert value == pytest.approx(powers, abs=1e-12)
-        grid = _overlap_grid(rho, sigma, (p,), (0.0, 0.3))
-        assert np.isnan(grid[:, 0, 0]).all()
-        assert grid[:, 0, 1].tolist() == [renyi_overlap_telescoped(r, s, p, 0.3) for r, s in zip(rho, sigma)]
+        grid = _Core(rho, sigma).overlaps((p,), (0.0, 0.3))
+        for k, a in enumerate((0.0, 0.3)):
+            one_pair = [renyi_overlap_telescoped(r, s, p, a) for r, s in zip(rho, sigma)]
+            assert grid[:, 0, k].tolist() == one_pair
 
 
 class TestTrre:

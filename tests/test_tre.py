@@ -14,8 +14,6 @@ from helpers import (
     reference_limit,
     reference_sa,
 )
-from telent import matfun
-from telent.renyi import _overlap_grid
 from telent.matfun import _psd_spectra, support_basis, trace_norm_distance
 from telent.states import (
     pure_from_vector,
@@ -27,6 +25,7 @@ from telent.states import (
 from telent.verify import FuzzConfig, run_fuzz
 from telent.tre import (
     _CORES,
+    _Core,
     _limits,
     _sum_xlogx,
     binary_entropy,
@@ -181,27 +180,25 @@ class TestTelescopicRelativeEntropy:
 STACK_A = (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
 
 
-# A stack's eigh calls run in a fixed order: sigma of the a = 0 rows, rho of
-# the a = 1 rows, the joint supports, the compressed mixtures per rank, then
-# rho.  The first invalid matrix in that order names the error: a stack whose
-# third rho is bad raises, at each a of ORDER_A, the message listed for it.
+# A stack's eigh calls run in the order in which S_a first uses the parts
+# of its core (``tre._Core``): sigma if a cell is at a = 0, then rho stacked
+# over (rho+sigma)/2, whose support is the joint support, then the
+# compressed mixtures per rank.  The first invalid matrix in that order
+# names the error: a stack whose third rho is bad raises, at each a of
+# ORDER_A, the message listed for it.  rho comes before the joint support
+# and every mixture, so each a gives rho's own message.
 ORDER_A = (0.5, 1.0, [0.25, 0.75], [1.0, 0.5], [[0.3], [0.0], [0.6]])
 _NOT_PSD = "matrix is not positive semidefinite: eigenvalue "
-_JOINT, _RHO_AT_ONE = "-5.000000e-02 below -2.100e-10", "-6.000000e-01 below -3.200e-10"
-_RHO, _MIXTURE = "-2.000000e-01 below -2.400e-10", "-2.500000e-02 below -2.050e-10"
+_RHO_LOW, _RHO = "-6.000000e-01 below -3.200e-10", "-2.000000e-01 below -2.400e-10"
 _NOT_HERMITIAN = "matrix is not Hermitian: entries (0,1) and (1,0) differ by "
-_HALF_ASYM, _ASYM = "5.000e-02 (tolerance 1.0e-10)", "1.000e-01 (tolerance 1.0e-10)"
+_ASYM = "1.000e-01 (tolerance 1.0e-10)"
 STACK_ERRORS = [
-    # the joint support is not PSD; at a = 1 alone rho comes first
-    (np.diag([1.6, -0.6]), _NOT_PSD, [_JOINT, _RHO_AT_ONE, _JOINT, _RHO_AT_ONE, _JOINT]),
+    # neither rho nor the joint support is PSD
+    (np.diag([1.6, -0.6]), _NOT_PSD, [_RHO_LOW] * 5),
     # the joint support is PSD, rho is not, and neither is the a = 0.75 mixture
-    (np.diag([1.2, -0.2]), _NOT_PSD, [_RHO, _RHO, _MIXTURE, _RHO, _RHO]),
+    (np.diag([1.2, -0.2]), _NOT_PSD, [_RHO] * 5),
     # the joint support halves the asymmetry of rho
-    (
-        np.array([[0.5, 0.1], [0.0, 0.5]]),
-        _NOT_HERMITIAN,
-        [_HALF_ASYM, _ASYM, _HALF_ASYM, _ASYM, _HALF_ASYM],
-    ),
+    (np.array([[0.5, 0.1], [0.0, 0.5]]), _NOT_HERMITIAN, [_ASYM] * 5),
 ]
 
 
@@ -237,7 +234,7 @@ class TestStackedKernel:
         relative_entropy(rho[0], sigma[0])
         von_neumann_entropy(rho[0])
         # a stack of one pair is a stack too, in a sweep block or not
-        _overlap_grid(rho[:1], sigma[:1], (0.5,), (0.1, 0.5))
+        _Core(rho[:1], sigma[:1]).overlaps((0.5,), (0.1, 0.5))
         run_fuzz(FuzzConfig(dims=(32,), trials=1))
         assert not _CORES
         tre_limit_zero(rho[0], sigma[0])
@@ -502,15 +499,14 @@ class TestStackedHolevo:
                 assert np.array(one_pair).tobytes() == np.array(expected).tobytes()
 
     def test_in_a_block_scope(self, rng):
-        # the block store returns stored spectra, which give the same bits
+        # a sweep block's core shares its spectra between both paths, which
+        # keep the bits of the public functions
         rho, sigma = mixed_strata_stack(rng, 4)
         p = np.array(STACK_P)
-        outside = [f(p, rho, sigma) for f, _ in HOLEVO]
-        with matfun._block_spectra():
-            telescopic_relative_entropy(rho, sigma, STACK_A)
-            inside = [f(p, rho, sigma) for f, _ in HOLEVO]
-        for a, b in zip(outside, inside):
-            assert a.tobytes() == b.tobytes()
+        core = _Core(rho, sigma)
+        core.sa(STACK_A)
+        for (f, _), value in zip(HOLEVO, core.holevo(p)):
+            assert value.tobytes() == f(p, rho, sigma).tobytes()
 
     def test_one_pair_returns_a_float(self, rng):
         rho, sigma = mixed_strata_stack(rng, 3)

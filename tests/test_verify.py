@@ -383,12 +383,8 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_margins(self, bad, monkeypatch):
-        right = tre.telescopic_relative_entropy
-        monkeypatch.setattr(
-            verify,
-            "telescopic_relative_entropy",
-            lambda rho, sigma, a: np.full_like(right(rho, sigma, a), bad),
-        )
+        right = tre._Core.sa
+        monkeypatch.setattr(tre._Core, "sa", lambda core, a: np.full_like(right(core, a), bad))
         report = run_fuzz(FuzzConfig(dims=(2,), trials=4))
         text = report.to_json()
         assert text == _json_dumps(report._doc()) + "\n"
@@ -461,17 +457,16 @@ class TestBlocks:
         config = FuzzConfig(dims=(2, 3), trials=10, seed=3)
         whole = run_fuzz(config).to_json()
         sizes = []
-        sa = verify.telescopic_relative_entropy
+        sa = tre._Core.sa
         monkeypatch.setattr(
-            verify,
-            "telescopic_relative_entropy",
-            lambda rho, sigma, a: sizes.append(len(rho)) or sa(rho, sigma, a),
+            tre._Core, "sa", lambda core, a: sizes.append(len(core.rho)) or sa(core, a)
         )
         # 4 trials per block at d = 2 and one at d = 3
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16)
         assert run_fuzz(config).to_json() == whole
-        # per block the pairs, then the second pairs and the mixed pairs
-        assert sizes == [4, 8, 4, 8, 2, 4] + [1, 2] * 10
+        # per block the pairs on the grid and at the endpoints, then the
+        # second pairs and the mixed pairs
+        assert sizes == [4, 4, 8, 4, 4, 8, 2, 2, 4] + [1, 1, 2] * 10
 
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         # 4 trials per block at d = 4
@@ -520,20 +515,11 @@ class TestWorkCount:
         monkeypatch.setattr(
             verify, "state_to_jsonable", lambda rho: serialised.append(1) or to_json(rho)
         )
-        sa_calls = []
-        sa = verify.telescopic_relative_entropy
-        monkeypatch.setattr(
-            verify,
-            "telescopic_relative_entropy",
-            lambda rho, sigma, a: sa_calls.append(1) or sa(rho, sigma, a),
-        )
-        holevo_calls = []
-        for name in ("holevo_two", "holevo_two_via_relative"):
-            f = getattr(verify, name)
+        cores, sa_calls, holevo_calls = [], [], []
+        for name, calls in (("__init__", cores), ("sa", sa_calls), ("holevo", holevo_calls)):
+            f = getattr(tre._Core, name)
             monkeypatch.setattr(
-                verify,
-                name,
-                lambda p, rho, sigma, _f=f: holevo_calls.append(_f.__name__) or _f(p, rho, sigma),
+                tre._Core, name, lambda *args, _f=f, _calls=calls: _calls.append(1) or _f(*args)
             )
         limit_calls = []
         for module in (tre, verify):
@@ -562,23 +548,27 @@ class TestWorkCount:
         # witness only for a new worst margin: no per-trial records
         assert sorted(reductions) == sorted(list(report.checks) * blocks)
         assert len(built) <= len(reductions)
-        # Each dimension is one block here, and a block takes every spectrum
-        # from stacked eigh calls that share one store, so rho, sigma and the
-        # Holevo mixture are decomposed once per trial.  eigh matrices per
-        # trial: 14 for the S_a grid (sigma at a = 0, rho at a = 1, the joint
-        # support and 11 mixtures), whose mixtures the overlap grid takes
-        # too, 6 for joint convexity, the Holevo mixture and its compression
-        # to its support, which both relative entropies share.
-        assert linalg_calls["eigh"] <= 1 * trials
+        # Each dimension is one block here, and a block takes its spectra
+        # from one core of its pairs, so rho, sigma and the Holevo mixture
+        # are decomposed once per trial.  eigh matrices per trial: 14 for
+        # the core's S_a (sigma, rho with the joint support, and 11
+        # mixtures), whose mixtures the overlaps take too, 6 for joint
+        # convexity, the Holevo mixture and its compression to its support,
+        # which both relative entropies share.  eigh calls per block: one
+        # for sigma, one for the joint stack and one per rank of the
+        # mixtures, in the core and in the joint convexity call, and two or
+        # more for the Holevo mixtures.
+        assert linalg_calls["eigh"] <= 9 * blocks
         assert linalg_calls["eigh_matrices"] <= 22 * trials
         # T of a block is one stacked eigvalsh
         assert linalg_calls["eigvalsh"] <= blocks
-        # the a-grid with the limit nodes and the endpoints, whose cells are
-        # S_0 and S_1, and both joint convexity pairs
-        assert len(sa_calls) <= 2 * blocks
-        # one call of each Holevo path per block
-        assert holevo_calls.count("holevo_two") <= blocks
-        assert holevo_calls.count("holevo_two_via_relative") <= blocks
+        # one core of the block's pairs and one of the joint convexity pairs;
+        # S_a on the a-grid with the limit nodes, at the endpoints, whose
+        # cells are S_0 and S_1, and of both joint convexity pairs
+        assert len(cores) <= 2 * blocks
+        assert len(sa_calls) <= 3 * blocks
+        # both Holevo paths in one call per block
+        assert len(holevo_calls) <= blocks
         assert not limit_calls
         # only each check's final witness is serialised: rho and sigma, plus
         # the second pair of the joint convexity check
@@ -596,12 +586,13 @@ class TestWorkCount:
         figure_rows(FigureSpec(figure, 11))
         assert len(calls) == 1
 
-    # at 101 points fig1a's joint supports have ranks 2 and 1 (two mixture
-    # calls of 600 and 6), fig1b's rank 2 only; fig2a/fig2b decompose sigma
-    # (a = 0), rho (a = 1), the joint support, 99 mixtures and rho
+    # at 101 points each figure decomposes rho stacked over the joint
+    # supports; fig1a's joint supports have ranks 2 and 1 (two mixture calls
+    # of 600 and 6), fig1b's rank 2 only; fig2a/fig2b add sigma (a = 0) and
+    # 99 mixtures
     @pytest.mark.parametrize(
         "figure, calls, matrices",
-        [("fig1a", 4, 808), ("fig1b", 3, 808), ("fig2a", 5, 103), ("fig2b", 5, 103)],
+        [("fig1a", 3, 808), ("fig1b", 2, 808), ("fig2a", 3, 102), ("fig2b", 3, 102)],
     )
     def test_figure_work(self, figure, calls, matrices, linalg_calls):
         figure_rows(FigureSpec(figure, 101))
@@ -620,19 +611,21 @@ class TestWorkCount:
 
 
 def test_wrong_holevo_reaches_the_sweep(monkeypatch):
-    """A shifted Holevo quantity under its public name must fail run_fuzz."""
-    right = tre.holevo_two
-    for module in (tre, verify):
-        monkeypatch.setattr(module, "holevo_two", lambda p, r, s: right(p, r, s) + 1e-3)
+    """A shifted Holevo quantity must fail run_fuzz: the sweep's core and
+    ``holevo_two`` share the kernel ``tre._holevo``."""
+    right = tre._holevo
+    monkeypatch.setattr(tre, "_holevo", lambda *args: right(*args) + 1e-3)
+    assert holevo_two(0.5, np.eye(2) / 2, np.eye(2) / 2) == pytest.approx(1e-3, abs=1e-12)
     report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
     assert report.checks["holevo"].failures + report.checks["holevo_paths"].failures > 0
 
 
 def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
-    """A shifted S_a under its public name must show in run_fuzz and figure_rows.
+    """A shifted S_a must show in figure_rows and in run_fuzz.
 
-    The benchmark's gate test swaps the function the same way, so neither
-    may reach S_a through a name other than telescopic_relative_entropy.
+    The figures reach S_a through telescopic_relative_entropy, which the
+    benchmark's gate test swaps the same way; the sweep takes it from the
+    core of its block, ``tre._Core.sa``, which every stacked call runs.
     """
     right = tre.telescopic_relative_entropy
     clean = figure_rows(FigureSpec("fig2a"))[2]
@@ -640,8 +633,11 @@ def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
         monkeypatch.setattr(
             module, "telescopic_relative_entropy", lambda r, s, a: right(r, s, a) + 1e-3
         )
-    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
-    assert sum(st.failures for st in report.checks.values()) > 0
     shifted = figure_rows(FigureSpec("fig2a"))[2]
     delta = np.array(shifted)[:, 1] - np.array(clean)[:, 1]
     assert np.allclose(delta, 1e-3, rtol=0.0, atol=1e-12)
+    monkeypatch.undo()
+    sa = tre._Core.sa
+    monkeypatch.setattr(tre._Core, "sa", lambda core, a: sa(core, a) + 1e-3)
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert sum(st.failures for st in report.checks.values()) > 0
