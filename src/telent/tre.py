@@ -7,8 +7,8 @@ Neumann entropy, relative entropy with support semantics, binary
 entropy, and the two-state Holevo quantity).
 
 ``_Core`` is the spectral core of a stack of pairs, from which S_a, its
-limits, the telescoped Renyi overlaps and the sweep's Holevo paths take
-their spectra.
+limits, the telescoped Renyi overlaps and, in a sweep block, the Holevo
+paths take their spectra.
 
 All entropies are natural-log (nats).  The telescopic quantities are
 dimensionless ratios and independent of the log base.
@@ -16,6 +16,8 @@ dimensionless ratios and independent of the log base.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from typing import NamedTuple
 
@@ -210,7 +212,8 @@ def telescopic_relative_entropy(rho, sigma, a):
     else:
         shape = grid.shape
         rho, sigma, grid = rho[None], sigma[None], grid.reshape(1, -1)
-    return _Core(rho, sigma).sa(grid).reshape(shape)
+    core = _scope_core(rho, sigma) or _Core(rho, sigma)
+    return core.sa(grid).reshape(shape)
 
 
 def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
@@ -264,19 +267,27 @@ class _Joint(NamedTuple):
 class _Cells:
     """The compressed mixtures tau_c of one joint-support rank at one grid.
 
-    Per cell: its pair ``i`` and its column ``k`` of the grid,
-    ``relative``, S(rho || tau) = sum rho log rho - tr rho_c log tau_c
-    clamped, and ``mu``, the cut eigenvalues of tau_c, shape (n, r).  The
-    overlap weights are taken on first use, so S_a alone does not pay for
-    their products.  Every array is read-only.
+    Per cell: its pair ``i``, its column ``k`` of the grid and its
+    telescoping parameter ``a``, ``relative``, S(rho || tau) =
+    sum rho log rho - tr rho_c log tau_c clamped, and ``mu``, the cut
+    eigenvalues of tau_c, shape (n, r).  S_a and the overlap weights are
+    taken on first use, so a kept cell's S_a is a lookup, and S_a alone
+    does not pay for the weights' products.  Every array is read-only.
     """
 
-    def __init__(self, i, k, relative, mu, rho_in_V, j, U_tau) -> None:
-        self.i, self.k, self.relative, self.mu = i, k, relative, mu
+    def __init__(self, i, k, a, relative, mu, rho_in_V, j, U_tau) -> None:
+        self.i, self.k, self.a, self.relative, self.mu = i, k, a, relative, mu
         # U_rho* V of the rank's pairs, each cell's position among them, and
         # the eigenvectors of tau_c
         self._factors = rho_in_V, j, U_tau
-        _read_only(i, k, relative, mu)
+        _read_only(i, k, a, relative, mu)
+
+    @functools.cached_property
+    def sa(self) -> np.ndarray:
+        """S_a = S(rho || tau) / (-log a) clamped, at cells with a > 0."""
+        sa = _clamp_entropy(self.relative / -np.log(self.a))
+        _read_only(sa)
+        return sa
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -292,9 +303,9 @@ class _Cells:
 class _Core:
     """The spectral core of N pairs (rho, sigma), stacks (N, d, d).
 
-    S_a, its limits S_0 and S_1, the telescoped overlaps and the Holevo
-    paths of ``holevo`` take their spectra from it.  Its parts are
-    computed on first use:
+    S_a, its limits S_0 and S_1, the telescoped overlaps and, in a sweep
+    block (``_block_core``), both Holevo paths take their spectra from it.
+    Its parts are computed on first use:
 
     * ``sigma_spectra``, the cut spectra of sigma, for S_0 and Holevo;
     * ``joint`` (see ``_Joint``): one stacked eigh of rho over
@@ -305,7 +316,8 @@ class _Core:
       mixtures tau_c = a*rho_c + (1-a)*sig_c at the grid's cells with
       a < 1, which gives S(rho || tau) from tr rho_c log tau_c, the cut
       eigenvalues mu of tau_c and the overlap weights.  The last
-      ``_CORE_MIXTURES`` grids are kept.
+      ``_CORE_MIXTURES`` grids are kept;
+    * ``holevo_parts(w)``: the Holevo mixtures of the last weights.
 
     The eigh calls run in the order in which the parts are first used, so
     S_a takes sigma (if a cell is at a = 0), then the joint stack (rho
@@ -319,6 +331,7 @@ class _Core:
     def __init__(self, rho: np.ndarray, sigma: np.ndarray) -> None:
         self.rho, self.sigma = rho, sigma
         self._cells: dict[bytes, list[_Cells]] = {}
+        self._holevo: tuple = (None,)
 
     def _grid(self, a) -> np.ndarray:
         """``a`` as an (N, K) grid, read only; a (K,) grid is every pair's."""
@@ -383,7 +396,8 @@ class _Core:
                 cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
                 relative = _clamp_entropy(self.joint.xlogx[i] - cross)
                 mu, U_tau = dec.eigenvalues, dec.eigenvectors
-                found.append(_Cells(i, k, relative, mu, support.rho_in_V, j, U_tau))
+                cells = _Cells(i, k, a_c[:, 0, 0], relative, mu, support.rho_in_V, j, U_tau)
+                found.append(cells)
             if len(self._cells) == _CORE_MIXTURES:
                 del self._cells[next(iter(self._cells))]
         self._cells[key] = found
@@ -396,19 +410,18 @@ class _Core:
         The a = 0 and a = 1 cells are the closed-form limits; every other
         cell is (sum rho log rho - tr rho_c log tau_c) / (-log a), clamped.
         """
-        grid = self._grid(a)
+        grid = mixed = self._grid(a)
         values = np.empty(grid.shape)
-        at_zero = grid == 0.0
-        i, k = at_zero.nonzero()
-        if i.size:
+        if grid.min(initial=1.0) == 0.0:
+            i, k = (grid == 0.0).nonzero()
             values[i, k] = _limits(self.rho, self.sigma_spectra)[i]
-        i, k = (grid == 1.0).nonzero()
-        if i.size:
+            # the a = 0 cells move to a = 1, which takes no mixture
+            mixed = grid + (grid == 0.0)
+        if grid.max(initial=0.0) == 1.0:
+            i, k = (grid == 1.0).nonzero()
             values[i, k] = _limits(self.sigma, self.joint.rho)[i]
-        # the a = 0 cells move to a = 1, which takes no mixture
-        for cells in self.cells(grid + at_zero):
-            i, k = cells.i, cells.k
-            values[i, k] = _clamp_entropy(cells.relative / -np.log(grid[i, k]))
+        for cells in self.cells(mixed):
+            values[cells.i, cells.k] = cells.sa
         return values
 
     def overlaps(self, p_grid, a) -> np.ndarray:
@@ -426,14 +439,48 @@ class _Core:
                 out[cells.i, m, cells.k] = _overlaps(lam, cells.mu, cells.weights, p)
         return out
 
-    def holevo(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Both Holevo paths at one weight per pair, (N,): by entropies and
-        by relative entropies, with one eigh of the mixtures for both."""
-        mix = _mix(w, self.rho, self.sigma)
-        dec, _ = _psd_spectra(mix)
+    def holevo_parts(self, w: np.ndarray):
+        """What both Holevo paths take at one weight per pair, (N,): the
+        mixtures, their cut spectra, and sum lambda log lambda of rho and of
+        sigma.  The mixtures of the last weights are kept, so the two paths
+        decompose them once."""
+        key = w.tobytes()
+        if self._holevo[0] != key:
+            mix, dec = _mixture_spectra(w, self.rho, self.sigma)
+            _read_only(mix, dec.eigenvalues, dec.eigenvectors)
+            self._holevo = key, mix, dec
         xlogx = self.joint.xlogx, _sum_xlogx(self.sigma_spectra.eigenvalues)
-        chi = _holevo(w, _sum_xlogx(dec.eigenvalues), *xlogx)
-        return chi, _holevo_relative(w, self.rho, self.sigma, xlogx, mix, dec)
+        return *self._holevo[1:], xlogx
+
+
+# The core of the sweep block being evaluated, if any (``_block_core``).
+_BLOCK_CORE: contextvars.ContextVar = contextvars.ContextVar("block_core", default=None)
+
+
+@contextlib.contextmanager
+def _block_core(rho: np.ndarray, sigma: np.ndarray):
+    """Scope in which the stacks ``rho`` and ``sigma`` share one core.
+
+    Inside, a stacked S_a or Holevo call on these very arrays (compared by
+    identity, not by content) reads the core this yields, so S_a, both
+    Holevo paths and the overlaps a caller takes from the core share their
+    spectra; any other call builds its own.  The core is dropped on exit,
+    also when the block raised.
+    """
+    core = _Core(rho, sigma)
+    token = _BLOCK_CORE.set(core)
+    try:
+        yield core
+    finally:
+        _BLOCK_CORE.reset(token)
+
+
+def _scope_core(rho: np.ndarray, sigma: np.ndarray) -> _Core | None:
+    """The core of the enclosing ``_block_core`` if it is of these stacks."""
+    core = _BLOCK_CORE.get()
+    if core is not None and core.rho is rho and core.sigma is sigma:
+        return core
+    return None
 
 
 # The kept cores, most recently used first, each with its key: the shape
@@ -534,28 +581,22 @@ def _ensemble(p, rho, sigma):
     return np.broadcast_to(w, (len(rho),)), rho, sigma, one
 
 
-def _mix(w, rho, sigma) -> np.ndarray:
-    """w*rho + (1-w)*sigma per pair of the stacks, one weight per pair."""
+def _mixture_spectra(w, rho, sigma):
+    """The Holevo mixtures w*rho + (1-w)*sigma of the stacks, one weight
+    per pair, and their cut spectra."""
     w_c = w[:, None, None]
-    return w_c * rho + (1.0 - w_c) * sigma
+    mix = w_c * rho + (1.0 - w_c) * sigma
+    return mix, _psd_spectra(mix)[0]
 
 
-def _holevo(w, xlogx_mix, xlogx_rho, xlogx_sigma):
-    """The Holevo quantity by entropies, from sum lambda log lambda of the
-    mixtures, of rho and of sigma."""
-    entropies = _entropy(xlogx_rho), _entropy(xlogx_sigma)
-    return _clamp_entropy(_entropy(xlogx_mix) - w * entropies[0] - (1.0 - w) * entropies[1])
-
-
-def _holevo_relative(w, rho, sigma, xlogx, mix, dec):
-    """The Holevo quantity by relative entropies against the mixtures
-    ``mix``, whose cut spectra are ``dec``; ``xlogx`` holds sum lambda log
-    lambda of rho and of sigma."""
-    weights = (w, 1.0 - w)
-    used = [weight > 0.0 for weight in weights]
-    s_rho, s_sigma = _relative_entropies((rho, sigma), xlogx, mix, dec, used)
-    # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
-    return _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
+def _holevo_parts(w, rho, sigma):
+    """``_Core.holevo_parts`` of stacks: from the core of a sweep block of
+    them (``_block_core``), else by decomposing the mixtures, rho and sigma
+    in that order."""
+    core = _scope_core(rho, sigma)
+    if core is not None:
+        return core.holevo_parts(w)
+    return *_mixture_spectra(w, rho, sigma), (_xlogx(rho), _xlogx(sigma))
 
 
 def holevo_two(p, rho, sigma):
@@ -570,10 +611,12 @@ def holevo_two(p, rho, sigma):
     with one probability per pair.  One pair returns a Python float, a
     stack an (N,) float array whose elements are the one-pair values bit
     for bit.  A stack's mixtures, rho and sigma are decomposed as three
-    stacks.
+    stacks, or taken from the core of a sweep block (``_block_core``).
     """
     w, rho, sigma, one = _ensemble(p, rho, sigma)
-    value = _holevo(w, *(_xlogx(x) for x in (_mix(w, rho, sigma), rho, sigma)))
+    _, dec, xlogx = _holevo_parts(w, rho, sigma)
+    entropies = [_entropy(x) for x in (_sum_xlogx(dec.eigenvalues), *xlogx)]
+    value = _clamp_entropy(entropies[0] - w * entropies[1] - (1.0 - w) * entropies[2])
     return float(value[0]) if one else value
 
 
@@ -586,10 +629,14 @@ def holevo_two_via_relative(p, rho, sigma):
 
     Shapes as for ``holevo_two``.  A stack's pairs are grouped by the rank
     of the mixture's support; the mixtures, rho and sigma are decomposed
-    as whole stacks.
+    as whole stacks, or taken from the core of a sweep block, which
+    decomposes the mixtures once for both Holevo functions.
     """
     w, rho, sigma, one = _ensemble(p, rho, sigma)
-    mix = _mix(w, rho, sigma)
-    dec, _ = _psd_spectra(mix)
-    value = _holevo_relative(w, rho, sigma, (_xlogx(rho), _xlogx(sigma)), mix, dec)
+    mix, dec, xlogx = _holevo_parts(w, rho, sigma)
+    weights = (w, 1.0 - w)
+    used = [weight > 0.0 for weight in weights]
+    s_rho, s_sigma = _relative_entropies((rho, sigma), xlogx, mix, dec, used)
+    # as Python's sum of the used terms: 0.0 first, and a skipped term adds 0.0
+    value = _clamp_entropy(0.0 + weights[0] * s_rho + weights[1] * s_sigma)
     return float(value[0]) if one else value

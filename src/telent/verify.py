@@ -45,7 +45,13 @@ from .states import (
     state_from_jsonable,
     state_to_jsonable,
 )
-from .tre import _Core, binary_entropy, telescopic_relative_entropy
+from .tre import (
+    _block_core,
+    binary_entropy,
+    holevo_two,
+    holevo_two_via_relative,
+    telescopic_relative_entropy,
+)
 
 # Overlap threshold for the strict (non-orthogonal) maximality probe and
 # the margin it must respect.
@@ -487,16 +493,18 @@ def _draw_block(config: FuzzConfig, d_index: int, dim: int, trials: range) -> _B
 def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
     """Evaluate a block of drawn trials and record every check.
 
-    The block's pairs get one spectral core (``tre._Core``), from which
-    come S_a on the a-grid and the limit nodes, the closed forms S_0 and
-    S_1, the overlaps, which take the compressed mixtures of that S_a
-    grid, and both Holevo paths, which share rho's and sigma's spectra
-    and one decomposition of the Holevo mixtures.  The joint convexity
-    pairs are one more stacked S_a call and T one stacked eigvalsh.  A
-    trial's joint convexity a and Holevo p are picked from the grids by
-    its index within its dimension.  Each check's margins are one array
-    in record order (trial, then p, then a), reduced by its
-    ``CheckStats`` in one step, so ties keep the first witness.
+    Every quantity of the block is one stacked call of its public
+    function, made inside one ``_block_core`` scope, so the calls on the
+    block's pairs share one spectral core: S_a on the a-grid and the limit
+    nodes, the closed forms S_0 and S_1, and both Holevo paths, which
+    share rho's and sigma's spectra and one decomposition of the Holevo
+    mixtures.  The overlaps come from the core itself and take the
+    compressed mixtures of the first S_a call.  The joint convexity pairs
+    get a core of their own and T one stacked eigvalsh.  A trial's joint
+    convexity a and Holevo p are picked from the grids by its index within
+    its dimension.  Each check's margins are one array in record order
+    (trial, then p, then a), reduced by its ``CheckStats`` in one step, so
+    ties keep the first witness.
     """
     trials, labels, rho, sigma, rho2, sigma2, weights = block
     n, n_a, n_p = len(trials), len(a_grid), len(p_grid)
@@ -508,20 +516,21 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
         [(rho, sigma), (rho2, sigma2)], [x[:, None, None] for x in jc_weights]
     )
 
-    core = _Core(rho, sigma)
     a_nodes = a_grid + _LIMIT_A
-    sa = core.sa(a_nodes)
-    # the overlaps of the S_a grid's mixtures, at the a-grid's columns
-    overlaps = core.overlaps(p_grid, a_nodes)[:, :, :n_a]
-    s0, s1 = core.sa((0.0, 1.0)).T
-    # the joint convexity call takes the second pairs, then the mixed pairs
-    jc_sa = telescopic_relative_entropy(
-        np.concatenate([rho2, mixed[0]]),
-        np.concatenate([sigma2, mixed[1]]),
-        np.array(a_jc + a_jc)[:, None],
-    )[:, 0]
-    t = trace_norm_distance(rho, sigma)
-    chi, chi_relative = core.holevo(np.array(p_h))
+    with _block_core(rho, sigma) as core:
+        sa = telescopic_relative_entropy(rho, sigma, a_nodes)
+        # the overlaps of the S_a call's mixtures, at the a-grid's columns
+        overlaps = core.overlaps(p_grid, a_nodes)[:, :, :n_a]
+        s0, s1 = telescopic_relative_entropy(rho, sigma, (0.0, 1.0)).T
+        # the joint convexity call takes the second pairs, then the mixed pairs
+        jc_sa = telescopic_relative_entropy(
+            np.concatenate([rho2, mixed[0]]),
+            np.concatenate([sigma2, mixed[1]]),
+            np.array(a_jc + a_jc)[:, None],
+        )[:, 0]
+        t = trace_norm_distance(rho, sigma)
+        chi = holevo_two(np.array(p_h), rho, sigma)
+        chi_relative = holevo_two_via_relative(np.array(p_h), rho, sigma)
 
     def of_trial(b):
         return dict(labels[b], rho=rho[b], sigma=sigma[b])

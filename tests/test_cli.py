@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from telent import cli, tre
+from telent import cli, tre, verify
 from telent.cli import FIG1_A_VALUES, FigureSpec, figure_rows, load_state, main
 from telent.states import random_mixed_hs, state_to_jsonable
 
@@ -211,12 +211,12 @@ class TestVerifyCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_margin_exits_one_with_report(self, bad, tmp_path, capsys, monkeypatch):
-        right = tre._Core.sa
+        right = tre.telescopic_relative_entropy
 
-        def broken(core, a):
-            return np.full_like(right(core, a), bad)
+        def broken(rho, sigma, a):
+            return np.full_like(right(rho, sigma, a), bad)
 
-        monkeypatch.setattr(tre._Core, "sa", broken)
+        monkeypatch.setattr(verify, "telescopic_relative_entropy", broken)
         out = tmp_path / "report.json"
         assert main(["verify", "--dims", "2", "--trials", "4", "--out", str(out)]) == 1
         doc = json.loads(out.read_text())

@@ -284,13 +284,18 @@ def _kept_arrays(core) -> list:
     for support in joint.supports:
         kept += list(support)
     for cells in core._cells.values():
-        kept += [a for c in cells for a in (c.i, c.k, c.relative, c.mu, c.weights)]
+        kept += [a for c in cells for a in (c.i, c.k, c.a, c.relative, c.mu, c.weights)]
+        # S_a of the cells that S_a has read
+        kept += [vars(c)["sa"] for c in cells if "sa" in vars(c)]
+    if core._holevo[0] is not None:
+        _, mix, dec = core._holevo
+        kept += [mix, dec.eigenvalues, dec.eigenvectors]
     return kept
 
 
 @pytest.fixture
 def block_cores(monkeypatch):
-    """Weak references to the cores that ``verify`` builds, in order."""
+    """Weak references to the cores that ``tre`` builds, in order."""
     made = []
 
     class Recorded(tre._Core):
@@ -298,34 +303,43 @@ def block_cores(monkeypatch):
             super().__init__(rho, sigma)
             made.append(weakref.ref(self))
 
-    monkeypatch.setattr(verify, "_Core", Recorded)
+    monkeypatch.setattr(tre, "_Core", Recorded)
     return made
 
 
 class TestBlockStore:
     """A sweep block keeps its spectra in one core (``tre._Core``) of the
-    block's pairs, its store, which is dropped with the block."""
+    block's pairs, its store, which the stacked calls on those very arrays
+    read inside the block's ``tre._block_core`` scope."""
 
     def test_equal_stack_decomposes_once_in_a_scope(self, rng, linalg_calls):
         rho, sigma = (np.stack([random_pd(rng, 3) for _ in range(4)]) for _ in range(2))
-        core = tre._Core(rho, sigma)
-        grid = (0.3, 0.6)
-        first = core.sa(grid)
-        # rho over (rho+sigma)/2, and the mixtures of the one joint-support rank
-        assert linalg_calls["eigh"] == 2
-        assert core.sa(np.array(grid)).tobytes() == first.tobytes()
-        core.overlaps((0.25, 0.75), grid)
-        assert linalg_calls["eigh"] == 2
-        # sigma, then the Holevo mixtures and their compressions to their support
-        core.sa((0.0, 1.0))
-        core.holevo(np.full(4, 0.5))
-        assert linalg_calls["eigh"] == 5
-        # the key is the whole grid, so a part of it is decomposed again
-        core.overlaps((0.5,), grid[:1])
-        assert linalg_calls["eigh"] == 6
-        # a fresh core of the same stacks decomposes again
-        assert tre._Core(rho, sigma).sa(grid).tobytes() == first.tobytes()
-        assert linalg_calls["eigh"] == 8
+        rho, sigma = rho.astype(complex), sigma.astype(complex)
+        grid, p = (0.3, 0.6), np.full(4, 0.5)
+        with tre._block_core(rho, sigma) as core:
+            first = tre.telescopic_relative_entropy(rho, sigma, grid)
+            # rho over (rho+sigma)/2, and the mixtures of the one joint-support rank
+            assert linalg_calls["eigh"] == 2
+            again = tre.telescopic_relative_entropy(rho, sigma, np.array(grid))
+            assert again.tobytes() == first.tobytes()
+            core.overlaps((0.25, 0.75), grid)
+            assert linalg_calls["eigh"] == 2
+            # sigma, then the Holevo mixtures and their compressions to their
+            # support, which both Holevo paths share
+            tre.telescopic_relative_entropy(rho, sigma, (0.0, 1.0))
+            chi = tre.holevo_two(p, rho, sigma), tre.holevo_two_via_relative(p, rho, sigma)
+            assert linalg_calls["eigh"] == 5
+            # the key is the whole grid, so a part of it is decomposed again
+            core.overlaps((0.5,), grid[:1])
+            assert linalg_calls["eigh"] == 6
+            # equal arrays that are not the block's get a core of their own
+            equal = tre.telescopic_relative_entropy(rho.copy(), sigma, grid)
+            assert equal.tobytes() == first.tobytes()
+            assert linalg_calls["eigh"] == 8
+        # outside the scope every call builds a fresh core
+        assert tre.telescopic_relative_entropy(rho, sigma, grid).tobytes() == first.tobytes()
+        assert tre.holevo_two(p, rho, sigma).tobytes() == chi[0].tobytes()
+        assert linalg_calls["eigh"] == 13
         assert not tre._CORES
 
     def test_stored_arrays_read_only(self, rng):
@@ -333,6 +347,7 @@ class TestBlockStore:
         core = tre._Core(rho, sigma)
         values = core.sa((0.0, 0.4, 1.0))
         core.overlaps((0.5,), (0.0, 0.4))
+        core.holevo_parts(np.full(2, 0.5))
         for array in _kept_arrays(core):
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 1.0
@@ -346,23 +361,26 @@ class TestBlockStore:
             lambda: core.sa((0.5,)),
             lambda: core.overlaps((0.5,), (0.5,)),
             # its mixtures are PSD, so the joint stack raises after them
-            lambda: core.holevo(np.full(2, 0.5)),
+            lambda: core.holevo_parts(np.full(2, 0.5)),
         ]
         for _ in range(2):
             for call in calls:
                 with pytest.raises(ValueError, match="positive semidefinite"):
                     call()
-        assert linalg_calls["eigh"] == 8
+        # the joint stack on every call, the valid mixtures once
+        assert linalg_calls["eigh"] == 7
 
     def test_sweep_opens_and_drops_its_store(self, block_cores):
         config = verify.FuzzConfig(dims=(2, 3), trials=4, seed=1)
         report = verify.run_fuzz(config)
-        # one core per block, none left alive, and no pair core kept
-        assert len(block_cores) == len(config.dims)
+        # per block its core and the joint convexity pairs' one, none left
+        # alive, no scope left open and no pair core kept
+        assert len(block_cores) == 2 * len(config.dims)
         verify.replay_witness(report.checks["holevo"].witness)
-        assert len(block_cores) == len(config.dims) + 1
+        assert len(block_cores) == 2 * len(config.dims) + 2
         gc.collect()
         assert all(core() is None for core in block_cores)
+        assert tre._BLOCK_CORE.get() is None
         assert not tre._CORES
 
     def test_store_dropped_after_a_block_that_raised(self, block_cores):
@@ -374,6 +392,7 @@ class TestBlockStore:
             verify._record_block(config.a_grid, config.p_grid, checks, block)
         gc.collect()
         assert len(block_cores) == 1 and block_cores[0]() is None
+        assert tre._BLOCK_CORE.get() is None
         assert not tre._CORES
 
 

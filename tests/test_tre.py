@@ -24,8 +24,9 @@ from telent.states import (
 )
 from telent.verify import FuzzConfig, run_fuzz
 from telent.tre import (
+    _BLOCK_CORE,
     _CORES,
-    _Core,
+    _block_core,
     _limits,
     _sum_xlogx,
     binary_entropy,
@@ -217,6 +218,11 @@ class TestStackedKernel:
         assert stacked.tobytes() == np.array(reference).tobytes()
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
 
+    def test_empty_grid(self):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(2), 2)
+        assert telescopic_relative_entropy(rho[0], sigma[0], []).shape == (0,)
+        assert telescopic_relative_entropy(rho, sigma, []).shape == (len(rho), 0)
+
     def test_stack_calls_leave_the_memo_alone(self):
         # a stack's cost must not depend on what earlier calls left behind:
         # only the one-pair calls keep a pair core
@@ -234,7 +240,10 @@ class TestStackedKernel:
         relative_entropy(rho[0], sigma[0])
         von_neumann_entropy(rho[0])
         # a stack of one pair is a stack too, in a sweep block or not
-        _Core(rho[:1], sigma[:1]).overlaps((0.5,), (0.1, 0.5))
+        block = rho[:1].copy(), sigma[:1].copy()
+        with _block_core(*block) as core:
+            telescopic_relative_entropy(*block, STACK_A)
+            core.overlaps((0.5,), (0.1, 0.5))
         run_fuzz(FuzzConfig(dims=(32,), trials=1))
         assert not _CORES
         tre_limit_zero(rho[0], sigma[0])
@@ -473,6 +482,28 @@ class TestHolevo:
 # mixed_strata_stack; the scalars are broadcast to every pair
 STACK_P = (0.0, 0.3, 1.0, 0.75, 0.5)
 SCALAR_P = (0.0, 0.4, 1.0)
+class TestEveryStateIsChecked:
+    """Every state an entropy function is given is decomposed and checked,
+    also one whose term the value does not need."""
+
+    def test_relative_entropy_of_a_leaking_state(self):
+        # rho leaks out of the support of sigma, where the value is inf
+        with pytest.raises(ValueError, match=_NOT_PSD + _RHO):
+            relative_entropy(np.diag([-0.2, 1.2]), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("f", [holevo_two, holevo_two_via_relative])
+    def test_holevo_state_of_weight_zero(self, f):
+        with pytest.raises(ValueError, match=_NOT_PSD + _RHO):
+            f(1.0, np.eye(2) / 2, np.diag([1.2, -0.2]))
+
+    def test_sa_at_one_checks_sigma(self):
+        # S_1 takes rho's support only, but rho comes from the joint stack
+        half, bad = np.eye(2) / 2, np.diag([1.6, -0.6])
+        for rho, sigma in ((half, bad), (np.stack([half, half]), np.stack([half, bad]))):
+            with pytest.raises(ValueError, match=_NOT_PSD + "-5.000000e-02 below -2.100e-10"):
+                telescopic_relative_entropy(rho, sigma, 1.0)
+
+
 HOLEVO = (
     (holevo_two, reference_holevo),
     (holevo_two_via_relative, reference_holevo_relative),
@@ -498,15 +529,20 @@ class TestStackedHolevo:
                 assert stacked.tobytes() == np.array(expected).tobytes(), (f.__name__, p)
                 assert np.array(one_pair).tobytes() == np.array(expected).tobytes()
 
-    def test_in_a_block_scope(self, rng):
-        # a sweep block's core shares its spectra between both paths, which
-        # keep the bits of the public functions
-        rho, sigma = mixed_strata_stack(rng, 4)
+    def test_in_a_block_scope(self, rng, linalg_calls):
+        # a block's core gives both paths the bits of fresh decompositions
+        rho, sigma = (x.astype(complex) for x in mixed_strata_stack(rng, 4))
         p = np.array(STACK_P)
-        core = _Core(rho, sigma)
-        core.sa(STACK_A)
-        for (f, _), value in zip(HOLEVO, core.holevo(p)):
-            assert value.tobytes() == f(p, rho, sigma).tobytes()
+        outside = [f(p, rho, sigma) for f, _ in HOLEVO]
+        with _block_core(rho, sigma):
+            telescopic_relative_entropy(rho, sigma, STACK_A)
+            before = linalg_calls["eigh"]
+            inside = [f(p, rho, sigma) for f, _ in HOLEVO]
+            # rho and sigma come from the core, the mixtures are decomposed once
+            assert linalg_calls["eigh"] - before <= 1 + len(rho)
+        assert _BLOCK_CORE.get() is None
+        for a, b in zip(outside, inside):
+            assert a.tobytes() == b.tobytes()
 
     def test_one_pair_returns_a_float(self, rng):
         rho, sigma = mixed_strata_stack(rng, 3)

@@ -383,8 +383,12 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_margins(self, bad, monkeypatch):
-        right = tre._Core.sa
-        monkeypatch.setattr(tre._Core, "sa", lambda core, a: np.full_like(right(core, a), bad))
+        right = tre.telescopic_relative_entropy
+        monkeypatch.setattr(
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: np.full_like(right(rho, sigma, a), bad),
+        )
         report = run_fuzz(FuzzConfig(dims=(2,), trials=4))
         text = report.to_json()
         assert text == _json_dumps(report._doc()) + "\n"
@@ -457,9 +461,11 @@ class TestBlocks:
         config = FuzzConfig(dims=(2, 3), trials=10, seed=3)
         whole = run_fuzz(config).to_json()
         sizes = []
-        sa = tre._Core.sa
+        sa = verify.telescopic_relative_entropy
         monkeypatch.setattr(
-            tre._Core, "sa", lambda core, a: sizes.append(len(core.rho)) or sa(core, a)
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: sizes.append(len(rho)) or sa(rho, sigma, a),
         )
         # 4 trials per block at d = 2 and one at d = 3
         monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 16)
@@ -515,12 +521,26 @@ class TestWorkCount:
         monkeypatch.setattr(
             verify, "state_to_jsonable", lambda rho: serialised.append(1) or to_json(rho)
         )
-        cores, sa_calls, holevo_calls = [], [], []
-        for name, calls in (("__init__", cores), ("sa", sa_calls), ("holevo", holevo_calls)):
-            f = getattr(tre._Core, name)
+        sa_calls = []
+        sa = verify.telescopic_relative_entropy
+        monkeypatch.setattr(
+            verify,
+            "telescopic_relative_entropy",
+            lambda rho, sigma, a: sa_calls.append(1) or sa(rho, sigma, a),
+        )
+        holevo_calls = []
+        for name in ("holevo_two", "holevo_two_via_relative"):
+            f = getattr(verify, name)
             monkeypatch.setattr(
-                tre._Core, name, lambda *args, _f=f, _calls=calls: _calls.append(1) or _f(*args)
+                verify,
+                name,
+                lambda p, rho, sigma, _f=f: holevo_calls.append(_f.__name__) or _f(p, rho, sigma),
             )
+        cores = []
+        init = tre._Core.__init__
+        monkeypatch.setattr(
+            tre._Core, "__init__", lambda core, *args: cores.append(1) or init(core, *args)
+        )
         limit_calls = []
         for module in (tre, verify):
             # verify holds no closed form; patching it anyway counts one it gains
@@ -548,16 +568,16 @@ class TestWorkCount:
         # witness only for a new worst margin: no per-trial records
         assert sorted(reductions) == sorted(list(report.checks) * blocks)
         assert len(built) <= len(reductions)
-        # Each dimension is one block here, and a block takes its spectra
-        # from one core of its pairs, so rho, sigma and the Holevo mixture
-        # are decomposed once per trial.  eigh matrices per trial: 14 for
-        # the core's S_a (sigma, rho with the joint support, and 11
-        # mixtures), whose mixtures the overlaps take too, 6 for joint
-        # convexity, the Holevo mixture and its compression to its support,
-        # which both relative entropies share.  eigh calls per block: one
-        # for sigma, one for the joint stack and one per rank of the
-        # mixtures, in the core and in the joint convexity call, and two or
-        # more for the Holevo mixtures.
+        # Each dimension is one block here, and a block's calls on its pairs
+        # take their spectra from one core of them, so rho, sigma and the
+        # Holevo mixture are decomposed once per trial.  eigh matrices per
+        # trial: 14 for the core's S_a (sigma, rho with the joint support,
+        # and 11 mixtures), whose mixtures the overlaps take too, 6 for
+        # joint convexity, the Holevo mixture and its compression to its
+        # support, which both relative entropies share.  eigh calls per
+        # block: one for sigma, one for the joint stack and one per rank of
+        # the mixtures, in the core and in the joint convexity call, and
+        # two or more for the Holevo mixtures.
         assert linalg_calls["eigh"] <= 9 * blocks
         assert linalg_calls["eigh_matrices"] <= 22 * trials
         # T of a block is one stacked eigvalsh
@@ -567,8 +587,9 @@ class TestWorkCount:
         # cells are S_0 and S_1, and of both joint convexity pairs
         assert len(cores) <= 2 * blocks
         assert len(sa_calls) <= 3 * blocks
-        # both Holevo paths in one call per block
-        assert len(holevo_calls) <= blocks
+        # one call of each Holevo path per block
+        assert holevo_calls.count("holevo_two") <= blocks
+        assert holevo_calls.count("holevo_two_via_relative") <= blocks
         assert not limit_calls
         # only each check's final witness is serialised: rho and sigma, plus
         # the second pair of the joint convexity check
@@ -611,21 +632,19 @@ class TestWorkCount:
 
 
 def test_wrong_holevo_reaches_the_sweep(monkeypatch):
-    """A shifted Holevo quantity must fail run_fuzz: the sweep's core and
-    ``holevo_two`` share the kernel ``tre._holevo``."""
-    right = tre._holevo
-    monkeypatch.setattr(tre, "_holevo", lambda *args: right(*args) + 1e-3)
-    assert holevo_two(0.5, np.eye(2) / 2, np.eye(2) / 2) == pytest.approx(1e-3, abs=1e-12)
+    """A shifted Holevo quantity under its public name must fail run_fuzz."""
+    right = tre.holevo_two
+    for module in (tre, verify):
+        monkeypatch.setattr(module, "holevo_two", lambda p, r, s: right(p, r, s) + 1e-3)
     report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
     assert report.checks["holevo"].failures + report.checks["holevo_paths"].failures > 0
 
 
 def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
-    """A shifted S_a must show in figure_rows and in run_fuzz.
+    """A shifted S_a under its public name must show in run_fuzz and figure_rows.
 
-    The figures reach S_a through telescopic_relative_entropy, which the
-    benchmark's gate test swaps the same way; the sweep takes it from the
-    core of its block, ``tre._Core.sa``, which every stacked call runs.
+    The benchmark's gate test swaps the function the same way, so neither
+    may reach S_a through a name other than telescopic_relative_entropy.
     """
     right = tre.telescopic_relative_entropy
     clean = figure_rows(FigureSpec("fig2a"))[2]
@@ -633,11 +652,8 @@ def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
         monkeypatch.setattr(
             module, "telescopic_relative_entropy", lambda r, s, a: right(r, s, a) + 1e-3
         )
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert sum(st.failures for st in report.checks.values()) > 0
     shifted = figure_rows(FigureSpec("fig2a"))[2]
     delta = np.array(shifted)[:, 1] - np.array(clean)[:, 1]
     assert np.allclose(delta, 1e-3, rtol=0.0, atol=1e-12)
-    monkeypatch.undo()
-    sa = tre._Core.sa
-    monkeypatch.setattr(tre._Core, "sa", lambda core, a: sa(core, a) + 1e-3)
-    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
-    assert sum(st.failures for st in report.checks.values()) > 0
