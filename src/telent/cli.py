@@ -10,7 +10,8 @@ Subcommands:
 State files are JSON documents containing exactly one of
 ``{"matrix": [[[re, im], ...], ...]}`` (row-major, optional ``"dim"``),
 ``{"diag": [...]}``, ``{"pure": [[re, im], ...]}``, or, for qubits,
-``{"bloch": [x, y, z]}``.
+``{"bloch": [x, y, z]}``.  Any other key, and a state of dimension 1, is
+an error.
 
 Exit codes: 0 on success, 1 when the verification suite finds a failing
 check, 2 on usage or parse errors.  The environment variable ``TRE_SEED``

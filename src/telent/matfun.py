@@ -78,6 +78,18 @@ def _as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _checked(x, name: str, closed: bool = True) -> np.ndarray:
+    """``x`` as a float array once each element lies in [0, 1], or in (0, 1)
+    when not ``closed``; else a ``ValueError`` that names ``name`` and the
+    first element outside, or ``x`` itself when it is a scalar."""
+    values = np.asarray(x, dtype=float)
+    for v in values.ravel().tolist():
+        if not (0.0 <= v <= 1.0 if closed else 0.0 < v < 1.0):
+            bad = x if values.ndim == 0 else v
+            raise ValueError(f"{name} must lie in {'[0, 1]' if closed else '(0, 1)'}, got {bad}")
+    return values
+
+
 def _hermitian_stack(H) -> np.ndarray:
     """A stack of matrices (n, r, r) as a complex array, each validated.
 
@@ -263,8 +275,7 @@ def frechet_power_map(A, Delta, p: float) -> np.ndarray:
     Shares the structural properties of the logarithm map and sends
     A**(1-p) to p times the identity for positive definite ``A``.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"power order p must lie in (0, 1), got {p}")
+    _checked(p, "power order p", closed=False)
     A, Delta = _as_pair(A, Delta)
     Delta = check_hermitian(Delta)
     dec = _positive_spectrum(A)

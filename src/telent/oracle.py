@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
 
-from .matfun import _as_pair, hermitian_part, support_basis
+from .matfun import _as_pair, _checked, hermitian_part, support_basis
 
 DEFAULT_NODES = 501
 
@@ -100,8 +100,7 @@ def power_scheme(p: float, n: int = DEFAULT_NODES) -> QuadratureScheme:
     [0.05, 0.95]).  Each call maps the cached Gauss-Legendre rule afresh,
     which takes microseconds, so a new p never rebuilds the rule.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"power order p must lie in (0, 1), got {p}")
+    _checked(p, "power order p", closed=False)
     u, wu = _gl01(n)
     c = min(2.0 / (p * (1.0 - p)), _STRETCH_CAP)
     logit = np.log(u) - np.log1p(-u)
@@ -187,8 +186,7 @@ def quad_tre(rho, sigma, a: float, scheme: QuadratureScheme | None = None) -> fl
     tau the collinear mixture, everything restricted to the support of
     rho + sigma so tau is invertible there.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"telescoping parameter a must lie in (0, 1), got {a}")
+    _checked(a, "telescoping parameter a", closed=False)
     rho, sigma = _as_pair(rho, sigma)
     sch = scheme if scheme is not None else rational_scheme()
     _require_kind(sch, "rational")
@@ -208,8 +206,7 @@ def quad_power(x: float, p: float, scheme: QuadratureScheme | None = None) -> fl
     """x**p as the integral of x/(x+s) against the order-p power measure."""
     if x < 0.0:
         raise ValueError(f"power integrand requires x >= 0, got {x}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"power order p must lie in (0, 1), got {p}")
+    _checked(p, "power order p", closed=False)
     if x == 0.0:
         return 0.0
     sch = scheme if scheme is not None else power_scheme(p)
@@ -225,8 +222,7 @@ def quad_frechet_power(
     Sum of w_k s_k (A + s_k)^-1 Delta (A + s_k)^-1 against the order-p
     power measure.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"power order p must lie in (0, 1), got {p}")
+    _checked(p, "power order p", closed=False)
     A = _cholesky_pd(A)
     Delta = np.asarray(Delta, dtype=complex)
     sch = scheme if scheme is not None else power_scheme(p)

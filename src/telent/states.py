@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matfun import _as_pair, _psd_spectrum, check_hermitian
+from .matfun import _as_pair, _checked, _psd_spectrum, check_hermitian
 
 # Absolute tolerance on tr(rho sigma) for declaring orthogonality; the
 # overlap of normalized states is scale-free, so this is independent of
@@ -66,8 +66,7 @@ def qubit_pair_with_angle(theta: float) -> tuple[np.ndarray, np.ndarray]:
 def telescope_mix(rho, sigma, a: float) -> np.ndarray:
     """Collinear mixture a*rho + (1-a)*sigma pulling sigma toward rho."""
     rho, sigma = _as_pair(rho, sigma)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing parameter a must lie in [0, 1], got {a}")
+    _checked(a, "mixing parameter a")
     return a * rho + (1.0 - a) * sigma
 
 
@@ -159,11 +158,15 @@ def state_from_jsonable(doc: dict) -> np.ndarray:
     """Parse a state from the JSON document formats accepted by the CLI.
 
     Exactly one of the keys "matrix", "diag", "pure", "bloch" must be
-    present.  Parse errors name the offending field; the result is
-    validated as a density matrix.
+    present, with "dim" as the only other key allowed.  Parse errors name
+    the offending field or key; the result is validated as a density
+    matrix of dimension at least 2.
     """
     if not isinstance(doc, dict):
         raise ValueError("state document must be a JSON object")
+    unknown = [k for k in doc if k not in ("matrix", "diag", "pure", "bloch", "dim")]
+    if unknown:
+        raise ValueError(f"unknown keys in state document: {unknown}")
     forms = [k for k in ("matrix", "diag", "pure", "bloch") if k in doc]
     if len(forms) != 1:
         raise ValueError(
@@ -181,11 +184,6 @@ def state_from_jsonable(doc: dict) -> np.ndarray:
             rho = entries[..., 0] + 1j * entries[..., 1]
             if rho.shape[0] != rho.shape[1]:
                 raise ValueError('field "matrix" must be square')
-            if "dim" in doc and int(doc["dim"]) != rho.shape[0]:
-                raise ValueError(
-                    f'field "dim" ({doc["dim"]}) does not match the matrix '
-                    f"size ({rho.shape[0]})"
-                )
         elif kind == "diag":
             d = np.asarray(doc["diag"], dtype=float)
             if d.ndim != 1 or d.size == 0:
@@ -208,8 +206,14 @@ def state_from_jsonable(doc: dict) -> np.ndarray:
             rho = 0.5 * np.array(
                 [[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex
             )
+        if "dim" in doc and int(doc["dim"]) != rho.shape[0]:
+            raise ValueError(
+                f'field "dim" ({doc["dim"]}) does not match the matrix size ({rho.shape[0]})'
+            )
     except (TypeError, KeyError) as exc:
         raise ValueError(f'malformed field "{kind}": {exc}') from exc
+    if rho.shape[0] < 2:
+        raise ValueError(f'field "{kind}" gives a 1x1 state; the dimension must be at least 2')
     try:
         return check_density(rho)
     except ValueError as exc:

@@ -7,8 +7,10 @@ Neumann entropy, relative entropy with support semantics, binary
 entropy, and the two-state Holevo quantity).
 
 ``_Core`` is the spectral core of a stack of pairs, from which S_a, its
-limits, the telescoped Renyi overlaps and, in a sweep block, the Holevo
-paths take their spectra.
+limits, the telescoped Renyi overlaps, Q_{p,a} and, in a sweep block, the
+Holevo paths take their spectra.  ``renyi`` is the public layer of the
+overlaps and of Q_{p,a}; its functions parse their pairs and a-grids as
+S_a does (``_pairs``).
 
 All entropies are natural-log (nats).  The telescopic quantities are
 dimensionless ratios and independent of the log base.
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matfun import SpectralDecomposition, _as_pair, _hermitian_stack, _psd_spectra
+from .matfun import SpectralDecomposition, _as_pair, _checked, _hermitian_stack, _psd_spectra
 
 # Mass of rho allowed outside the support of sigma before the relative
 # entropy is declared infinite.
@@ -192,28 +194,40 @@ def telescopic_relative_entropy(rho, sigma, a):
     eigenvalues a*nu sink below the relative rank cut and a support
     test would misclassify them.
     """
-    grid = np.asarray(a, dtype=float)
-    for x in grid.ravel().tolist():
-        if not 0.0 <= x <= 1.0:
-            bad = a if grid.ndim == 0 else x
-            raise ValueError(f"telescoping parameter a must lie in [0, 1], got {bad}")
+    core, grid, lead, tail = _pairs(rho, sigma, a)
+    return _shaped(core.sa(grid), lead + tail)
+
+
+def _pairs(rho, sigma, a):
+    """The pair or stack and the telescoping parameters of S_a, of the
+    telescoped overlaps and of Q_{p,a}, checked, as (core, grid, lead, tail).
+
+    ``grid`` is ``a`` as an (N, K) grid for ``core``; ``lead`` is (N,) for a
+    stack and () for one pair, and a result over the grid has the shape
+    lead + tail, or lead + p.shape + tail with an array p of Renyi orders.
+    One pair with a scalar ``a`` reads its kept core (``_pair_core``); in a
+    sweep block its stacks read the block's core, and anything else gets a
+    fresh ``_Core``.
+    """
+    grid = _checked(a, "telescoping parameter a")
     if grid.ndim > 2:
         raise ValueError(
             f"telescoping parameters must have at most 2 axes, got shape {grid.shape}"
         )
     rho, sigma = _as_pair(rho, sigma)
-    if rho.ndim == 2 and grid.ndim == 0:
-        return float(_pair_core(rho, sigma).sa(grid.reshape(1, 1))[0, 0])
     if rho.ndim == 3:
-        shape = (len(rho),)
-        if grid.ndim:
-            shape = np.broadcast_shapes((len(rho), 1), grid.shape)
-        grid = np.broadcast_to(grid, shape).reshape(len(rho), -1)
+        lead, tail = (len(rho),), grid.shape[-1:]
+    elif grid.ndim:
+        rho, sigma, lead, tail = rho[None], sigma[None], (), grid.shape
     else:
-        shape = grid.shape
-        rho, sigma, grid = rho[None], sigma[None], grid.reshape(1, -1)
-    core = _scope_core(rho, sigma) or _Core(rho, sigma)
-    return core.sa(grid).reshape(shape)
+        return _pair_core(rho, sigma), grid.reshape(1, 1), (), ()
+    grid = np.broadcast_to(grid, lead + tail).reshape(len(rho), -1)
+    return _scope_core(rho, sigma) or _Core(rho, sigma), grid, lead, tail
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """``values`` in ``shape``, a Python float when that is ()."""
+    return values.reshape(shape) if shape else values.item()
 
 
 def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
@@ -237,13 +251,39 @@ def _pow(lam: np.ndarray, q: float) -> np.ndarray:
     return lam**q if q > 0.0 else (lam > 0.0).astype(float)
 
 
-def _overlaps(lam: np.ndarray, mu: np.ndarray, weights: np.ndarray, p: float) -> np.ndarray:
-    """sum_ij lam_i^(1-p) mu_j^p W_ij per cell: the cut spectra of rho (n, d)
-    and of the compressed mixtures (n, r), and the weights W (n, d, r).
+def _grid_terms(f, *grids):
+    """f of Python floats at each point of the broadcast grids.
 
-    Every term is nonnegative, so the sum is too."""
-    row = _pow(lam, 1.0 - p)[:, None, :]
-    return (row @ weights @ _pow(mu, p)[:, :, None])[:, 0, 0]
+    Terms that depend only on the a- or p-grid (-log a, 2(1-a)^2, a**p,
+    h(p)) are taken with Python's math, once per distinct point, so each
+    is the term of the formula on floats, as a one-pair call takes it;
+    numpy's array functions may round the last bit differently.  Scalars
+    give one value, arrays an array of their broadcast shape, read-only.
+    The terms are kept for the last few grids, keyed on the grids' shapes
+    and bytes, so a sweep takes them once, not once per block.
+    """
+    arrays = [np.asarray(g, dtype=float) for g in grids]
+    return _grid_terms_of_bytes(f, *((x.shape, x.tobytes()) for x in arrays))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_terms_of_bytes(f, *grids: tuple):
+    """``_grid_terms`` of grids given by their shapes and float64 bytes."""
+    arrays = np.broadcast_arrays(*(np.frombuffer(x).reshape(shape) for shape, x in grids))
+    points = list(zip(*(x.ravel().tolist() for x in arrays)))
+    terms = {point: f(*point) for point in dict.fromkeys(points)}
+    values = [terms[point] for point in points]
+    if not arrays[0].shape:
+        return values[0]
+    values = np.array(values, dtype=float).reshape(arrays[0].shape)
+    values.flags.writeable = False
+    return values
+
+
+def _q_scale(a: float, p: float) -> float:
+    """1 - a^p, the denominator of Q_{p,a}, or inf where it is 0, so that
+    those cells, whose value is the a -> 1 limit, divide without a warning."""
+    return 1.0 - a**p or np.inf
 
 
 class _Support(NamedTuple):
@@ -269,18 +309,22 @@ class _Cells:
 
     Per cell: its pair ``i``, its column ``k`` of the grid and its
     telescoping parameter ``a``, ``relative``, S(rho || tau) =
-    sum rho log rho - tr rho_c log tau_c clamped, and ``mu``, the cut
-    eigenvalues of tau_c, shape (n, r).  S_a and the overlap weights are
-    taken on first use, so a kept cell's S_a is a lookup, and S_a alone
-    does not pay for the weights' products.  Every array is read-only.
+    sum rho log rho - tr rho_c log tau_c clamped, ``mu``, the cut
+    eigenvalues of tau_c, shape (n, r), and ``lam``, the cut eigenvalues
+    of rho, shape (n, d).  S_a, the overlap weights and the overlaps at
+    each p are taken on first use, so a kept cell's S_a or overlap is a
+    lookup, and S_a alone does not pay for the weights' products.  Every
+    array is read-only.
     """
 
-    def __init__(self, i, k, a, relative, mu, rho_in_V, j, U_tau) -> None:
-        self.i, self.k, self.a, self.relative, self.mu = i, k, a, relative, mu
+    def __init__(self, i, k, a, relative, dec, lam, rho_in_V, j) -> None:
+        self.i, self.k, self.a, self.relative, self.lam = i, k, a, relative, lam
+        self.mu = dec.eigenvalues
         # U_rho* V of the rank's pairs, each cell's position among them, and
         # the eigenvectors of tau_c
-        self._factors = rho_in_V, j, U_tau
-        _read_only(i, k, a, relative, mu)
+        self._factors = rho_in_V, j, dec.eigenvectors
+        self._overlaps: dict[float, np.ndarray] = {}
+        _read_only(i, k, a, relative, self.mu, lam)
 
     @functools.cached_property
     def sa(self) -> np.ndarray:
@@ -299,12 +343,22 @@ class _Cells:
         _read_only(weights)
         return weights
 
+    def overlaps(self, p: float) -> np.ndarray:
+        """tr rho^(1-p) tau^p = sum_ij lam_i^(1-p) mu_j^p W_ij per cell, W the
+        weights, kept per p.  Every term is nonnegative, so the sum is too."""
+        if p not in self._overlaps:
+            row = _pow(self.lam, 1.0 - p)[:, None, :]
+            self._overlaps[p] = (row @ self.weights @ _pow(self.mu, p)[:, :, None])[:, 0, 0]
+            _read_only(self._overlaps[p])
+        return self._overlaps[p]
+
 
 class _Core:
     """The spectral core of N pairs (rho, sigma), stacks (N, d, d).
 
-    S_a, its limits S_0 and S_1, the telescoped overlaps and, in a sweep
-    block (``_block_core``), both Holevo paths take their spectra from it.
+    S_a, its limits S_0 and S_1, the telescoped overlaps, Q_{p,a} and, in a
+    sweep block (``_block_core``), both Holevo paths take their spectra
+    from it.
     Its parts are computed on first use:
 
     * ``sigma_spectra``, the cut spectra of sigma, for S_0 and Holevo;
@@ -315,8 +369,9 @@ class _Core:
     * ``cells(grid)``: per rank, one stacked eigh of the compressed
       mixtures tau_c = a*rho_c + (1-a)*sig_c at the grid's cells with
       a < 1, which gives S(rho || tau) from tr rho_c log tau_c, the cut
-      eigenvalues mu of tau_c and the overlap weights.  The last
-      ``_CORE_MIXTURES`` grids are kept;
+      eigenvalues mu of tau_c, the overlap weights and the overlaps per p,
+      from which ``q`` takes Q_{p,a}.  The last ``_CORE_MIXTURES`` grids
+      are kept;
     * ``holevo_parts(w)``: the Holevo mixtures of the last weights.
 
     The eigh calls run in the order in which the parts are first used, so
@@ -338,9 +393,7 @@ class _Core:
         a = np.asarray(a, dtype=float)
         if a.ndim == 2 and len(a) == len(self.rho):
             return a
-        grid = np.empty((len(self.rho), a.shape[-1]))
-        grid[...] = a
-        return grid
+        return np.broadcast_to(a, (len(self.rho), a.shape[-1]))
 
     @functools.cached_property
     def sigma_spectra(self) -> SpectralDecomposition:
@@ -395,9 +448,8 @@ class _Core:
                 log_tau = dec.apply(np.log(floored))
                 cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
                 relative = _clamp_entropy(self.joint.xlogx[i] - cross)
-                mu, U_tau = dec.eigenvalues, dec.eigenvectors
-                cells = _Cells(i, k, a_c[:, 0, 0], relative, mu, support.rho_in_V, j, U_tau)
-                found.append(cells)
+                lam = self.joint.rho.eigenvalues[i]
+                found.append(_Cells(i, k, a_c[:, 0, 0], relative, dec, lam, support.rho_in_V, j))
             if len(self._cells) == _CORE_MIXTURES:
                 del self._cells[next(iter(self._cells))]
         self._cells[key] = found
@@ -428,16 +480,37 @@ class _Core:
         """Telescoped overlaps tr rho^(1-p) tau^p over a (p, a) grid, with
         tau = a*rho + (1-a)*sigma and ``a`` as for ``sa``.
 
-        Shape (N, len(p_grid), K), NaN at a = 1.  Each p is one stacked
-        product per rank of the cells that ``sa`` takes at the same grid.
+        Shape (N, len(p_grid), K).  At a = 1, tau = rho and the overlap is
+        tr rho = 1.  Each p is one stacked product per rank of the cells
+        that ``sa`` takes at the same grid, kept with the cells, so Q_{p,a}
+        and the overlaps at one grid take the products once.
         """
         grid = self._grid(a)
-        out = np.full((len(grid), len(p_grid), grid.shape[1]), np.nan)
+        out = np.ones((len(grid), len(p_grid), grid.shape[1]))
         for cells in self.cells(grid):
-            lam = self.joint.rho.eigenvalues[cells.i]
             for m, p in enumerate(p_grid):
-                out[cells.i, m, cells.k] = _overlaps(lam, cells.mu, cells.weights, p)
+                out[cells.i, m, cells.k] = cells.overlaps(p)
         return out
+
+    def q(self, p_grid, a) -> np.ndarray:
+        """Q_{p,a} = (1 - overlap) / (1 - a^p) over a (p, a) grid of p in
+        (0, 1), with ``a`` as for ``sa``; shape (N, len(p_grid), K).
+
+        Each a^p is taken with Python's pow, once per distinct (a, p), and
+        each value is clamped at 0 as Python's max(x, 0.0) clamps, so every
+        element is the one-pair, scalar value bit for bit.  Where 1 - a^p
+        is 0, at a = 1 and where a^p rounds to 1 (a within about 1e-16 / p
+        of 1), the cell is the a -> 1 limit, the closed form
+        S_1 = 1 - tr sigma {rho} that ``sa`` takes at a = 1.
+        """
+        grid = self._grid(a)
+        scale = _grid_terms(_q_scale, grid[:, None, :], [[p] for p in p_grid])
+        values = (1.0 - self.overlaps(p_grid, grid)) / scale
+        limit = np.isinf(scale)
+        if limit.any():
+            i, m, k = limit.nonzero()
+            values[i, m, k] = _limits(self.sigma, self.joint.rho)[i]
+        return np.where(values < 0.0, 0.0, values)
 
     def holevo_parts(self, w: np.ndarray):
         """What both Holevo paths take at one weight per pair, (N,): the
@@ -461,11 +534,10 @@ _BLOCK_CORE: contextvars.ContextVar = contextvars.ContextVar("block_core", defau
 def _block_core(rho: np.ndarray, sigma: np.ndarray):
     """Scope in which the stacks ``rho`` and ``sigma`` share one core.
 
-    Inside, a stacked S_a or Holevo call on these very arrays (compared by
-    identity, not by content) reads the core this yields, so S_a, both
-    Holevo paths and the overlaps a caller takes from the core share their
-    spectra; any other call builds its own.  The core is dropped on exit,
-    also when the block raised.
+    Inside, a stacked S_a, overlap, Q_{p,a} or Holevo call on these very
+    arrays (compared by identity, not by content) reads the core this
+    yields, so they share their spectra; any other call builds its own.
+    The core is dropped on exit, also when the block raised.
     """
     core = _Core(rho, sigma)
     token = _BLOCK_CORE.set(core)
@@ -535,10 +607,8 @@ def tre_pure_closed_form(t: float, a: float) -> float:
     evaluated by series; the log ratio is computed as log((1+u)^2/w) to
     stay stable as w -> 0.  Both endpoint limits a -> 0, 1 converge to t^2.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"trace norm distance t must lie in [0, 1], got {t}")
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"telescoping parameter a must lie in (0, 1), got {a}")
+    _checked(t, "trace norm distance t")
+    _checked(a, "telescoping parameter a", closed=False)
     w = min(4.0 * a * (1.0 - a) * t * t, 1.0)
     if w == 0.0:
         # t = 0 exactly, or so small that w underflows; the value is 0 at
@@ -556,8 +626,7 @@ def tre_pure_closed_form(t: float, a: float) -> float:
 
 def binary_entropy(p: float) -> float:
     """-p log p - (1-p) log(1-p) in nats; zero at both endpoints."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    _checked(p, "probability")
     if p == 0.0 or p == 1.0:
         return 0.0
     return float(-p * np.log(p) - (1.0 - p) * np.log1p(-p))
@@ -569,11 +638,7 @@ def _ensemble(p, rho, sigma):
     ``p`` is checked and broadcast to one weight per pair, and ``one``
     marks a one-pair call, whose inputs become stacks of one.
     """
-    w = np.asarray(p, dtype=float)
-    for x in w.ravel().tolist():
-        if not 0.0 <= x <= 1.0:
-            bad = p if w.ndim == 0 else x
-            raise ValueError(f"probability must lie in [0, 1], got {bad}")
+    w = _checked(p, "probability")
     rho, sigma = _as_pair(rho, sigma)
     one = rho.ndim != 3
     if one:

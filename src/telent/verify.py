@@ -26,7 +26,6 @@ sweep.  The report is written by a writer of its own, byte for byte what
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -34,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matfun import trace_norm_distance
+from .matfun import _checked, trace_norm_distance
+from .renyi import renyi_overlap_telescoped, trre
 from .states import (
     _embed,
     _ginibre,
@@ -47,6 +47,7 @@ from .states import (
 )
 from .tre import (
     _block_core,
+    _grid_terms,
     binary_entropy,
     holevo_two,
     holevo_two_via_relative,
@@ -96,10 +97,8 @@ class FuzzConfig:
             raise ValueError("all dimensions must be at least 2")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if any(not 0.0 < a < 1.0 for a in self.a_grid):
-            raise ValueError("a-grid values must lie in (0, 1)")
-        if any(not 0.0 < p < 1.0 for p in self.p_grid):
-            raise ValueError("p-grid values must lie in (0, 1)")
+        _checked(self.a_grid, "a-grid values", closed=False)
+        _checked(self.p_grid, "p-grid values", closed=False)
         # negative slack is allowed: it forces failures
         if not math.isfinite(self.slack):
             raise ValueError(f"slack must be finite, got {self.slack}")
@@ -254,33 +253,6 @@ def richardson(hs, values):
 # margin functions: each is the checked statement rewritten as margin >= 0.
 # Values may be floats or arrays that broadcast against each other.
 # --------------------------------------------------------------------------
-
-def _grid_terms(f, *grids):
-    """f of Python floats at each point of the broadcast grids.
-
-    Terms that depend only on the a- or p-grid (-log a, 2(1-a)^2, a**p,
-    h(p)) are taken with Python's math, once per distinct point, so each
-    is the term of the formula on floats; numpy's array functions may
-    round the last bit differently.  Scalars give one value, arrays an
-    array of their broadcast shape, read-only.  The terms are kept for the
-    last few grids, so a sweep takes them once, not once per block.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(g, dtype=float) for g in grids))
-    return _grid_terms_of_bytes(f, arrays[0].shape, *(x.tobytes() for x in arrays))
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_terms_of_bytes(f, shape: tuple, *data: bytes):
-    """``_grid_terms`` of grids given by their shape and float64 bytes."""
-    points = list(zip(*(np.frombuffer(x).tolist() for x in data)))
-    terms = {point: f(*point) for point in dict.fromkeys(points)}
-    values = [terms[point] for point in points]
-    if not shape:
-        return values[0]
-    values = np.array(values, dtype=float).reshape(shape)
-    values.flags.writeable = False
-    return values
-
 
 def _pinsker_scale(a: float) -> float:
     return 2.0 * (1.0 - a) ** 2
@@ -496,15 +468,16 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
     Every quantity of the block is one stacked call of its public
     function, made inside one ``_block_core`` scope, so the calls on the
     block's pairs share one spectral core: S_a on the a-grid and the limit
-    nodes, the closed forms S_0 and S_1, and both Holevo paths, which
-    share rho's and sigma's spectra and one decomposition of the Holevo
-    mixtures.  The overlaps come from the core itself and take the
-    compressed mixtures of the first S_a call.  The joint convexity pairs
-    get a core of their own and T one stacked eigvalsh.  A trial's joint
-    convexity a and Holevo p are picked from the grids by its index within
-    its dimension.  Each check's margins are one array in record order
-    (trial, then p, then a), reduced by its ``CheckStats`` in one step, so
-    ties keep the first witness.
+    nodes, Q_{p,a} (``trre``) and the telescoped overlaps at the same grid,
+    the closed forms S_0 and S_1, and both Holevo paths, which share rho's
+    and sigma's spectra and one decomposition of the Holevo mixtures.  Q
+    and the overlaps take the compressed mixtures of the S_a call and one
+    set of overlap products, of which the sweep keeps the a-grid's
+    columns.  The joint convexity pairs get a core of their own and T one
+    stacked eigvalsh.  A trial's joint convexity a and Holevo p are picked
+    from the grids by its index within its dimension.  Each check's
+    margins are one array in record order (trial, then p, then a), reduced
+    by its ``CheckStats`` in one step, so ties keep the first witness.
     """
     trials, labels, rho, sigma, rho2, sigma2, weights = block
     n, n_a, n_p = len(trials), len(a_grid), len(p_grid)
@@ -517,10 +490,11 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
     )
 
     a_nodes = a_grid + _LIMIT_A
-    with _block_core(rho, sigma) as core:
+    with _block_core(rho, sigma):
         sa = telescopic_relative_entropy(rho, sigma, a_nodes)
-        # the overlaps of the S_a call's mixtures, at the a-grid's columns
-        overlaps = core.overlaps(p_grid, a_nodes)[:, :, :n_a]
+        # Q and the overlaps at the a-grid's columns of the S_a call's mixtures
+        q = trre(rho, sigma, p_grid, a_nodes)[:, :, :n_a]
+        overlaps = renyi_overlap_telescoped(rho, sigma, p_grid, a_nodes)[:, :, :n_a]
         s0, s1 = telescopic_relative_entropy(rho, sigma, (0.0, 1.0)).T
         # the joint convexity call takes the second pairs, then the mixed pairs
         jc_sa = telescopic_relative_entropy(
@@ -561,7 +535,6 @@ def _record_block(a_grid: tuple, p_grid: tuple, checks, block: _Block) -> None:
     with np.errstate(invalid="ignore"):
         tested, maximality = maximality_margin(rho, sigma, sa_grid)
         rows = np.flatnonzero(tested)
-        q = (1.0 - overlaps) / (1.0 - _grid_terms(pow, a, p))
         margins = {
             "range": (check_range(sa_grid), cell),
             "upper_T": (check_upper_T(sa_grid, t_col), cell),

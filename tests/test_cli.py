@@ -113,6 +113,28 @@ class TestCompute:
         assert main(["compute", rho, sigma, "--a", "1.5"]) == 2
         capsys.readouterr()
 
+    def test_one_dimensional_state_exit_two(self, tmp_path, capsys):
+        r = write_state(tmp_path, "r.json", {"pure": [[1, 0]]})
+        assert main(["compute", r, r, "--a", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "r.json" in captured.err and "dimension must be at least 2" in captured.err
+
+    def test_unknown_key_exit_two(self, tmp_path, capsys):
+        r = write_state(tmp_path, "r.json", {"diag": [0.5, 0.5], "bogus": 3})
+        assert main(["compute", r, r, "--a", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown keys in state document: ['bogus']" in captured.err
+
+    def test_a_one_with_p_gives_q_equal_to_s1(self, tmp_path, capsys, rng):
+        rho = write_state(tmp_path, "r.json", state_to_jsonable(random_mixed_hs(3, 2, rng)))
+        sigma = write_state(tmp_path, "s.json", state_to_jsonable(random_mixed_hs(3, 3, rng)))
+        assert main(["compute", rho, sigma, "--a", "1", "--p", "0.4"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["a"] == 1.0 and rec["p"] == 0.4
+        assert rec["Q_p_a"] == rec["S1"] > 0.0
+
 
 class TestFigure:
     def test_fig1a_endpoints(self):

@@ -284,7 +284,9 @@ def _kept_arrays(core) -> list:
     for support in joint.supports:
         kept += list(support)
     for cells in core._cells.values():
-        kept += [a for c in cells for a in (c.i, c.k, c.a, c.relative, c.mu, c.weights)]
+        kept += [a for c in cells for a in (c.i, c.k, c.a, c.relative, c.mu, c.lam, c.weights)]
+        # the overlaps at every p that has been read
+        kept += [a for c in cells for a in c._overlaps.values()]
         # S_a of the cells that S_a has read
         kept += [vars(c)["sa"] for c in cells if "sa" in vars(c)]
     if core._holevo[0] is not None:

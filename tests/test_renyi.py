@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +11,7 @@ from telent.renyi import (
     renyi_overlap_telescoped,
     trre,
 )
-from telent.tre import _Core
+from telent.tre import _Core, tre_limit_one
 from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
@@ -102,20 +104,21 @@ class TestOverlapGrid:
     def test_bit_identical_to_scalar(self, dim, linalg_calls):
         rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
         p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 1e-6, 0.5, 1.0 - 1e-9, 1.0)
-        grid = _Core(rho, sigma).overlaps(p_grid, a_grid)
+        grid = renyi_overlap_telescoped(rho, sigma, p_grid, a_grid)
+        # at a = 1 the mixture is rho, and the overlap tr rho = 1
         reference = [
-            [[reference_overlap(r, s, p, a) for a in a_grid[:-1]] for p in p_grid]
+            [[reference_overlap(r, s, p, a) for a in a_grid[:-1]] + [1.0] for p in p_grid]
             for r, s in zip(rho, sigma)
         ]
         scalar = [
-            [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid[:-1]] for p in p_grid]
+            [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid] for p in p_grid]
             for r, s in zip(rho, sigma)
         ]
         assert grid.shape == (len(rho), len(p_grid), len(a_grid))
-        # bit for bit, the sign of zero included, and NaN at a = 1
-        assert grid[:, :, :-1].tobytes() == np.array(reference).tobytes()
-        assert np.isnan(grid[:, :, -1]).all()
+        # bit for bit, the sign of zero included
+        assert grid.tobytes() == np.array(reference).tobytes()
         assert np.array(scalar).tobytes() == np.array(reference).tobytes()
+        assert _Core(rho, sigma).overlaps(p_grid, a_grid).tobytes() == grid.tobytes()
         # on one core, after S_a at the same grid, the overlaps take its
         # mixtures, and the values stay the same
         core = _Core(rho, sigma)
@@ -183,10 +186,70 @@ class TestTrre:
 
     def test_parameter_domains(self, rng):
         rho = random_mixed_hs(2, 2, rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"Renyi order p must lie in \(0, 1\), got 0.0"):
             trre(rho, rho, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            trre(rho, rho, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"Renyi order p must lie in \(0, 1\), got 1.0"):
+            trre(rho, rho, [0.5, 1.0], 0.5)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+            trre(rho, rho, 0.5, 1.5)
+        with pytest.raises(ValueError, match="at most 2 axes"):
+            trre(rho, rho, 0.5, [[[0.5]]])
+        with pytest.raises(ValueError, match=r"Renyi order p must lie in \[0, 1\]"):
+            renyi_overlap_telescoped(rho, rho, -0.5, 0.5)
+
+    def test_a_one_is_the_closed_form_s1(self, rng):
+        # Q_{p,1} = 1 - tr sigma {rho}: 0.7 for rho = |0><0|, sigma = diag(.3, .7)
+        rho, sigma = np.diag([1.0, 0.0]), np.diag([0.3, 0.7])
+        for p in (0.2, 0.5, 0.8):
+            assert trre(rho, sigma, p, 1.0) == pytest.approx(0.7, abs=1e-15)
+            assert renyi_overlap_telescoped(rho, sigma, p, 1.0) == 1.0
+        stack = mixed_strata_stack(rng, 3)
+        for r, s in zip(*stack):
+            s1 = tre_limit_one(r, s)
+            assert [trre(r, s, p, 1.0) for p in (0.2, 0.5, 0.8)] == [s1] * 3
+        # zero for faithful rho, whatever sigma
+        rho = random_mixed_hs(3, 3, rng)
+        assert trre(rho, random_mixed_hs(3, 1, rng), 0.4, 1.0) == 0.0
+        # below 1, where a^p rounds to 1 the quotient is 0/0 in floats: the
+        # limit, without a warning
+        rho, sigma = np.diag([1.0, 0.0]), np.diag([0.3, 0.7])
+        a = np.nextafter(1.0, 0.0)
+        assert a**0.25 == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trre(rho, sigma, [0.25, 0.5], a).tolist() == [tre_limit_one(rho, sigma)] * 2
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    def test_stack_is_bit_identical_to_one_pair(self, dim):
+        rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
+        p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 0.3, 1.0 - 1e-9, 1.0)
+        stacked = trre(rho, sigma, p_grid, a_grid)
+        scalar = [
+            [[trre(r, s, p, a) for a in a_grid] for p in p_grid] for r, s in zip(rho, sigma)
+        ]
+        assert stacked.shape == (len(rho), len(p_grid), len(a_grid))
+        assert all(type(x) is float for row in scalar for col in row for x in col)
+        assert stacked.tobytes() == np.array(scalar).tobytes()
+        # the one-pair value is the formula on floats, clamped as max clamps
+        for (r, s), rows in zip(zip(rho, sigma), scalar):
+            for p, row in zip(p_grid, rows):
+                for a, q in zip(a_grid[:-1], row):
+                    overlap = reference_overlap(r, s, p, a)
+                    assert q == max((1.0 - overlap) / (1.0 - a**p), 0.0)
+                assert row[-1] == tre_limit_one(r, s)
+        # a scalar p or a drops its axis, and one pair drops the stack's
+        assert trre(rho, sigma, 0.5, a_grid).tobytes() == stacked[:, 1].tobytes()
+        assert trre(rho, sigma, p_grid, 0.3).tobytes() == stacked[:, :, 2].tobytes()
+        assert trre(rho[1], sigma[1], p_grid, a_grid).tobytes() == stacked[1].tobytes()
+        # an array of p of any shape takes the place of the p axis
+        column = trre(rho, sigma, np.array(p_grid)[:, None], a_grid)
+        assert column.shape == (len(rho), len(p_grid), 1, len(a_grid))
+        assert column.tobytes() == stacked.tobytes()
+        # an (N, K) grid gives each pair its own row of a
+        rows = np.array([a_grid, a_grid[::-1]] * len(rho))[: len(rho)]
+        expected = [[[trre(r, s, p, a) for a in row] for p in p_grid]
+                    for r, s, row in zip(rho, sigma, rows)]
+        assert trre(rho, sigma, p_grid, rows).tobytes() == np.array(expected).tobytes()
 
 
 class TestDerivativeConsistency:

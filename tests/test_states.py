@@ -208,3 +208,17 @@ class TestStateJson:
             state_from_jsonable(
                 {"dim": 3, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
             )
+        with pytest.raises(ValueError, match='"dim"'):
+            state_from_jsonable({"dim": 3, "diag": [0.5, 0.5]})
+        assert state_from_jsonable({"dim": 2, "diag": [0.5, 0.5]}).shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "doc", [{"pure": [[1, 0]]}, {"diag": [1.0]}, {"matrix": [[[1, 0]]]}]
+    )
+    def test_one_dimensional_state_is_rejected(self, doc):
+        with pytest.raises(ValueError, match="1x1 state; the dimension must be at least 2"):
+            state_from_jsonable(doc)
+
+    def test_unknown_keys_are_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown keys in state document: \['bogus'\]"):
+            state_from_jsonable({"diag": [0.5, 0.5], "bogus": 3})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_sample_pair
-from telent import cli, tre, verify
+from telent import cli, renyi, tre, verify
 from telent.cli import FIGURE_IDS, FigureSpec, figure_rows
 from telent.matfun import trace_norm_distance
 from telent.renyi import renyi_overlap_telescoped, trre
@@ -638,6 +638,65 @@ def test_wrong_holevo_reaches_the_sweep(monkeypatch):
         monkeypatch.setattr(module, "holevo_two", lambda p, r, s: right(p, r, s) + 1e-3)
     report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
     assert report.checks["holevo"].failures + report.checks["holevo_paths"].failures > 0
+
+
+def test_wrong_trre_reaches_the_sweep(monkeypatch):
+    """A shifted Q_{p,a} under its public name must fail run_fuzz."""
+    right = renyi.trre
+    for module in (renyi, verify):
+        monkeypatch.setattr(module, "trre", lambda r, s, p, a: right(r, s, p, a) + 1e-3)
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert report.checks["trre_bound"].failures > 0
+
+
+def test_wrong_overlap_reaches_the_sweep(monkeypatch):
+    """A shifted telescoped overlap under its public name must fail run_fuzz."""
+    right = renyi.renyi_overlap_telescoped
+    for module in (renyi, verify):
+        monkeypatch.setattr(
+            module, "renyi_overlap_telescoped", lambda r, s, p, a: right(r, s, p, a) - 1e-3
+        )
+    report = run_fuzz(FuzzConfig(dims=(2, 3), trials=8))
+    assert report.checks["trre_overlap"].failures > 0
+
+
+# The default report, check by check: (trials, failures, near_equalities,
+# worst_margin).  The counts are exact.  The worst margins hold to
+# DEFAULT_MARGIN_ATOL, and those of the limit checks, which extrapolate
+# from S_a at a down to 1e-11, to DEFAULT_LIMIT_ATOL.  Run under the
+# Prescott, Nehalem, Sandybridge, Haswell and SkylakeX kernels of OpenBLAS
+# 0.3.31, the counts stayed the same and the worst margins moved by at most
+# 2.6e-14, and by at most 7.3e-7 for the limit checks.
+DEFAULT_REPORT = {
+    "holevo": (3000, 0, 750, -9.992007221626409e-16),
+    "holevo_paths": (3000, 0, 3000, -1.915134717478395e-15),
+    "joint_convexity": (3000, 0, 0, 0.00018891719051111755),
+    "limit_cauchy": (3000, 0, 2850, -3.8584319801415745e-06),
+    "limit_one": (3000, 0, 3000, -4.866662127955834e-06),
+    "limit_zero": (3000, 0, 3000, -1.6298871838909364e-05),
+    "lower_pinsker": (15000, 0, 1, 4.63806779208572e-05),
+    "maximality": (13960, 0, 3750, -1.509903313490213e-14),
+    "range": (15000, 0, 3750, -1.1546319456101628e-14),
+    "trre_bound": (45000, 0, 11250, -9.015010959956271e-14),
+    "trre_overlap": (45000, 0, 11295, -2.55351295663786e-15),
+    "upper_T": (15000, 0, 3750, -1.1657341758564144e-14),
+}
+DEFAULT_MARGIN_ATOL = 1e-10
+DEFAULT_LIMIT_ATOL = 5e-6
+
+
+def test_default_report_is_pinned():
+    """``run_fuzz`` with its defaults, as ``telent verify`` runs it, gives the
+    pinned counts and worst margins, so a change to a check's threshold or
+    nodes that moves the report fails here, not only in a golden diff."""
+    report = run_fuzz()
+    assert report.passed
+    assert sorted(report.checks) == sorted(DEFAULT_REPORT)
+    for name, (trials, failures, near, worst) in DEFAULT_REPORT.items():
+        st = report.checks[name]
+        assert (st.trials, st.failures, st.near_equalities) == (trials, failures, near), name
+        atol = DEFAULT_LIMIT_ATOL if name.startswith("limit_") else DEFAULT_MARGIN_ATOL
+        assert st.worst_margin == pytest.approx(worst, rel=0.0, abs=atol), name
 
 
 def test_wrong_sa_reaches_the_sweep_and_the_figures(monkeypatch):
