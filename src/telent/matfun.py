@@ -10,6 +10,7 @@ spectra is kept by ``tre._Core``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,14 @@ def _hermitian_stack(H) -> np.ndarray:
         raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     # inf - inf would warn; the non-finite test below reports it instead
     with np.errstate(invalid="ignore"):
-        delta = np.abs(H - H.conj().swapaxes(1, 2))
+        delta = np.subtract(H, H.conj().swapaxes(1, 2), order="C")
+    # |z| <= sqrt(2) max(|Re z|, |Im z|), so parts within TOL_HERM / 2 pass
+    # the entrywise test below, which then need not take a modulus; a NaN
+    # part fails here, as the max propagates it
+    if np.abs(delta.view(float)).max(initial=0.0) <= TOL_HERM / 2:
+        return H
     # a non-finite entry makes its delta NaN or inf, so it fails this test
+    delta = np.abs(delta)
     valid = delta <= TOL_HERM
     if not valid.all():
         n = int(np.argmin(valid.all(axis=(1, 2))))
@@ -150,22 +157,31 @@ def _psd_spectra(H) -> tuple[SpectralDecomposition, np.ndarray]:
     """
     H = _hermitian_stack(H)
     lam, U = np.linalg.eigh(H)
-    dim = H.shape[1]
-    top = lam[:, -1]
-    # max(top, 0.0) as Python takes it
-    scale = np.where(0.0 > top, 0.0, top)
-    bound = dim * TOL_HERM * scale
-    negative = lam[:, 0] < -bound
+    top = lam[:, -1:]
+    # max(top, 0.0) as Python takes it, times each level's unit: columns
+    # -bound, the mixture floor and the rank cut, shape (n, 3)
+    levels = np.where(0.0 > top, 0.0, top) * _level_units(H.shape[1])
+    negative = lam[:, :1] < levels[:, :1]
     if negative.any():
         n = int(np.argmax(negative))
         raise ValueError(
             f"matrix is not positive semidefinite: eigenvalue {float(lam[n, 0]):.6e} "
-            f"below -{float(bound[n]):.3e}"
+            f"below -{float(-levels[n, 0]):.3e}"
         )
-    floored = np.maximum(lam, (dim * _EPS_RANK * scale)[:, None])
-    rank_cut = max(dim, _RANK_CUT_MIN_DIM) * _EPS_RANK * scale
-    lam[lam <= rank_cut[:, None]] = 0.0
+    floored = np.maximum(lam, levels[:, 1:2])
+    lam[lam <= levels[:, 2:]] = 0.0
     return SpectralDecomposition(lam, U), floored
+
+
+@functools.lru_cache(maxsize=None)
+def _level_units(dim: int) -> np.ndarray:
+    """The units of ``_psd_spectra``'s three levels at ``dim``, relative to
+    lambda_max: -dim * TOL_HERM, dim * _EPS_RANK and the rank cut's
+    max(dim, _RANK_CUT_MIN_DIM) * _EPS_RANK.  A product with the negated
+    unit is the negated product bit for bit, as rounding is symmetric."""
+    units = np.array([-(dim * TOL_HERM), dim * _EPS_RANK, max(dim, _RANK_CUT_MIN_DIM) * _EPS_RANK])
+    units.flags.writeable = False
+    return units
 
 
 def support_basis(A) -> np.ndarray:

@@ -38,12 +38,18 @@ _NEG_CLAMP = 1e-10
 # telescoping parameters whose mixtures a core keeps.
 _PAIR_CORES = 2
 _CORE_MIXTURES = 8
+# Number of grids of Renyi orders whose Q_{p,a} terms a ``_Grid`` keeps.
+_GRID_ORDERS = 8
 
 
 def _clamp_entropy(value):
-    """0.0 for values in [-_NEG_CLAMP, 0); elementwise on an array."""
+    """0.0 for values in [-_NEG_CLAMP, 0); elementwise on an array, which is
+    returned as it is when no value is negative."""
     if isinstance(value, float):
         return 0.0 if -_NEG_CLAMP <= value < 0.0 else value
+    # a NaN propagates through the minimum, so it takes the elementwise path
+    if np.minimum.reduce(value, axis=None, initial=0.0) >= 0.0:
+        return value
     return np.where((-_NEG_CLAMP <= value) & (value < 0.0), 0.0, value)
 
 
@@ -64,12 +70,19 @@ def _rank_groups(lam: np.ndarray):
         yield rank, (ranks == rank).nonzero()[0]
 
 
+def _rows(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows]`` for increasing ``rows``, or ``x`` itself where that takes
+    every row of a C-contiguous ``x``: the copy would hold the same bytes in
+    the same layout, so a product gives the same bits without it."""
+    return x if len(rows) == len(x) and x.flags.c_contiguous else x[rows]
+
+
 def _support(U: np.ndarray, rows: np.ndarray, rank: int) -> np.ndarray:
     """The supports of the given rows of a stack of cut spectra, all of
     rank ``rank``: eigenvalues ascend, so they are the last ``rank``
     eigenvector columns.  They are made contiguous like ``support_basis``,
     as BLAS may round a strided operand differently."""
-    return np.ascontiguousarray(U[rows, :, U.shape[-1] - rank :])
+    return np.ascontiguousarray(_rows(U, rows)[:, :, U.shape[-1] - rank :])
 
 
 def _sum_xlogx(lam: np.ndarray) -> np.ndarray:
@@ -82,7 +95,7 @@ def _sum_xlogx(lam: np.ndarray) -> np.ndarray:
     """
     out = np.empty(len(lam))
     for rank, rows in _rank_groups(lam):
-        pos = lam[rows, lam.shape[1] - rank :]
+        pos = _rows(lam, rows)[:, lam.shape[1] - rank :]
         out[rows] = np.sum(pos * np.log(pos), axis=1)
     return out
 
@@ -138,14 +151,14 @@ def _relative_entropies(states, xlogx, sigma, dec, used) -> list[np.ndarray]:
     for rank, pairs in _rank_groups(dec.eigenvalues):
         V = _support(dec.eigenvectors, pairs, rank)
         Vh = V.conj().swapaxes(-1, -2)
-        compressed = [Vh @ state[pairs] @ V for state in states]
+        compressed = [Vh @ _rows(state, pairs) @ V for state in states]
         for state_c, use, ins in zip(compressed, used, inside):
             leak = 1.0 - np.trace(state_c, axis1=1, axis2=2).real
             ins[pairs] = use[pairs] & ~(leak > EPS_SUPP)
         need = np.logical_or.reduce([ins[pairs] for ins in inside])
         if not need.any():
             continue
-        sig_c = _hermitian_stack((Vh @ sigma[pairs] @ V)[need])
+        sig_c = _hermitian_stack((Vh @ _rows(sigma, pairs) @ V)[need])
         sig_dec = SpectralDecomposition(*np.linalg.eigh(sig_c))
         log_sig = sig_dec.apply(np.log(sig_dec.eigenvalues))
         for state_c, ins, out in zip(compressed, inside, cross):
@@ -208,6 +221,12 @@ def _pairs(rho, sigma, a):
     One pair with a scalar ``a`` reads its kept core (``_pair_core``); in a
     sweep block its stacks read the block's core, and anything else gets a
     fresh ``_Core``.
+
+    The one-pair call is the stacked computation on a stack of one, with
+    no formula of its own.  On a kept pair its cost is the check of ``a``
+    and of the shapes, and the key of ``_pair_core``, two copies and
+    compares of the states' bytes (about 7 us at d = 64); the first call at
+    a new a adds one eigh of the compressed mixture and two d^3 products.
     """
     grid = _checked(a, "telescoping parameter a")
     if grid.ndim > 2:
@@ -241,7 +260,7 @@ def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
     for rank, rows in _rank_groups(dec.eigenvalues):
         V = _support(dec.eigenvectors, rows, rank)
         P = V @ V.conj().swapaxes(-1, -2)
-        traces[rows] = np.trace(states[rows] @ P, axis1=1, axis2=2).real
+        traces[rows] = np.trace(_rows(states, rows) @ P, axis1=1, axis2=2).real
     return _clamp_entropy(1.0 - traces)
 
 
@@ -286,6 +305,71 @@ def _q_scale(a: float, p: float) -> float:
     return 1.0 - a**p or np.inf
 
 
+class _Grid:
+    """A grid of telescoping parameters (N, K) and what a core reads of it,
+    taken once per distinct grid (``_grid_of``), so that a call at a grid
+    seen before does no index arithmetic on it.
+
+    ``a`` is the grid, read-only, and ``key`` its bytes.  ``zero`` and
+    ``one`` are the (rows, columns) of its cells at a = 0 and at a = 1, or
+    None.  ``mixed`` marks the cells with a < 1, whose mixtures the core
+    decomposes, and ``cells`` gives them in row-major order as (rows,
+    columns, a, 1 - a), the coefficients of tau = a*rho + (1-a)*sigma, or
+    None if there is none.  ``sa_grid`` is the grid at which S_a takes its
+    mixtures: the a = 0 cells, which are the closed form S_0, move to
+    a = 1, which takes no mixture.
+    """
+
+    def __init__(self, shape: tuple, key: bytes) -> None:
+        self.key = key
+        self.a = a = np.frombuffer(key).reshape(shape)
+        self.zero = self._where(a == 0.0)
+        self.one = self._where(a == 1.0)
+        self.mixed = a < 1.0
+        self.cells = None
+        if self.mixed.any():
+            i, k = self.mixed.nonzero()
+            a_c = a[i, k][:, None, None]
+            self.cells = i, k, a_c, 1.0 - a_c
+            _read_only(*self.cells)
+        self.sa_grid = self if self.zero is None else _grid_of(shape, (a + (a == 0.0)).tobytes())
+        self._q: dict[tuple, tuple] = {}
+        _read_only(self.mixed)
+
+    @staticmethod
+    def _where(mask: np.ndarray):
+        """The (rows, columns) of ``mask``, or None where it is all false."""
+        if not mask.any():
+            return None
+        where = mask.nonzero()
+        _read_only(*where)
+        return where
+
+    def q_terms(self, p_grid: tuple):
+        """(1 - a^p per cell of the (p, a) grid, shape (N, P, K), and the
+        (rows, orders, columns) of its cells where 1 - a^p is 0, or None).
+
+        The scale is ``_q_scale`` by Python's math (``_grid_terms``).  Kept
+        for the last ``_GRID_ORDERS`` grids of Renyi orders.
+        """
+        found = self._q.pop(p_grid, None)
+        if found is None:
+            scale = _grid_terms(_q_scale, self.a[:, None, :], [[p] for p in p_grid])
+            found = scale, self._where(np.isinf(scale))
+            if len(self._q) == _GRID_ORDERS:
+                del self._q[next(iter(self._q))]
+        self._q[p_grid] = found
+        return found
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_of(shape: tuple, key: bytes) -> _Grid:
+    """The ``_Grid`` of the float64 grid of that shape and those bytes,
+    kept for the last few grids, so a sweep or a loop over pairs at the
+    same parameters takes each grid's bookkeeping once."""
+    return _Grid(shape, key)
+
+
 class _Support(NamedTuple):
     """A core's pairs of one joint-support rank, V their joint support."""
 
@@ -320,8 +404,9 @@ class _Cells:
     def __init__(self, i, k, a, relative, dec, lam, rho_in_V, j) -> None:
         self.i, self.k, self.a, self.relative, self.lam = i, k, a, relative, lam
         self.mu = dec.eigenvalues
-        # U_rho* V of the rank's pairs, each cell's position among them, and
-        # the eigenvectors of tau_c
+        # U_rho* V of the rank's pairs, each cell's position among them (None
+        # where the cells are the rank's pairs in order), and the
+        # eigenvectors of tau_c
         self._factors = rho_in_V, j, dec.eigenvectors
         self._overlaps: dict[float, np.ndarray] = {}
         _read_only(i, k, a, relative, self.mu, lam)
@@ -338,8 +423,9 @@ class _Cells:
         """|(U_rho* V U_tau_c)_ij|^2, shape (n, d, r)."""
         rho_in_V, j, U_tau = self._factors
         del self._factors
-        M = rho_in_V[j] @ U_tau
-        weights = M.real**2 + M.imag**2
+        M = (rho_in_V if j is None else rho_in_V[j]) @ U_tau
+        weights = M.real**2
+        weights += M.imag**2
         _read_only(weights)
         return weights
 
@@ -366,6 +452,9 @@ class _Core:
       (rho+sigma)/2 gives rho's spectra, for S_1, sum lambda log lambda
       and the overlaps, and per joint-support rank V the pairs compressed
       to V and U_rho* V;
+    * ``limit_zero`` and ``limit_one``, the closed forms S_0 and S_1 per
+      pair, from ``sigma_spectra`` and from ``joint``; S_a at a = 0 and
+      a = 1 and Q_{p,a} where 1 - a^p is 0 read them;
     * ``cells(grid)``: per rank, one stacked eigh of the compressed
       mixtures tau_c = a*rho_c + (1-a)*sig_c at the grid's cells with
       a < 1, which gives S(rho || tau) from tr rho_c log tau_c, the cut
@@ -373,6 +462,13 @@ class _Core:
       from which ``q`` takes Q_{p,a}.  The last ``_CORE_MIXTURES`` grids
       are kept;
     * ``holevo_parts(w)``: the Holevo mixtures of the last weights.
+
+    A grid's index arithmetic (which cells are at a = 0, at a = 1 or
+    mixed, and 1 - a^p per order) is taken once per distinct grid
+    (``_Grid``) and shared by every core, so a call at a kept pair and a
+    kept grid is a few lookups and the (N, P, K) result's arithmetic.
+    Where a rank holds every pair of the core, its arrays are used as they
+    are (``_rows``), so a stack of one copies no matrix to index it.
 
     The eigh calls run in the order in which the parts are first used, so
     S_a takes sigma (if a cell is at a = 0), then the joint stack (rho
@@ -388,12 +484,14 @@ class _Core:
         self._cells: dict[bytes, list[_Cells]] = {}
         self._holevo: tuple = (None,)
 
-    def _grid(self, a) -> np.ndarray:
-        """``a`` as an (N, K) grid, read only; a (K,) grid is every pair's."""
-        a = np.asarray(a, dtype=float)
-        if a.ndim == 2 and len(a) == len(self.rho):
+    def _grid(self, a) -> _Grid:
+        """``a`` as the ``_Grid`` of an (N, K) grid; a (K,) grid is every pair's."""
+        if isinstance(a, _Grid):
             return a
-        return np.broadcast_to(a, (len(self.rho), a.shape[-1]))
+        a = np.asarray(a, dtype=float)
+        if not (a.ndim == 2 and len(a) == len(self.rho)):
+            a = np.broadcast_to(a, (len(self.rho), a.shape[-1]))
+        return _grid_of(a.shape, a.tobytes())
 
     @functools.cached_property
     def sigma_spectra(self) -> SpectralDecomposition:
@@ -404,7 +502,11 @@ class _Core:
     @functools.cached_property
     def joint(self) -> _Joint:
         rho, sigma, n = self.rho, self.sigma, len(self.rho)
-        dec, _ = _psd_spectra(np.concatenate([rho, (rho + sigma) / 2.0]))
+        stack = np.empty((2 * n, *rho.shape[1:]), dtype=complex)
+        stack[:n] = rho
+        # (rho+sigma)/2 in place, bit for bit
+        np.divide(np.add(rho, sigma, out=stack[n:]), 2.0, out=stack[n:])
+        dec, _ = _psd_spectra(stack)
         # copies, so the core does not hold the spectra of (rho+sigma)/2
         lam, U = dec.eigenvalues[:n].copy(), dec.eigenvectors[:n].copy()
         supports = []
@@ -412,8 +514,8 @@ class _Core:
             V = _support(dec.eigenvectors[n:], pairs, rank)
             Vh = V.conj().swapaxes(-1, -2)
             support = _Support(
-                pairs, Vh @ rho[pairs] @ V, Vh @ sigma[pairs] @ V,
-                U[pairs].conj().swapaxes(-1, -2) @ V,
+                pairs, Vh @ _rows(rho, pairs) @ V, Vh @ _rows(sigma, pairs) @ V,
+                _rows(U, pairs).conj().swapaxes(-1, -2) @ V,
             )
             _read_only(*support)
             supports.append(support)
@@ -421,38 +523,67 @@ class _Core:
         _read_only(lam, U, xlogx)
         return _Joint(SpectralDecomposition(lam, U), xlogx, tuple(supports))
 
-    def cells(self, grid: np.ndarray) -> list[_Cells]:
-        """The compressed mixtures at the cells of an (N, K) grid with a < 1.
+    @functools.cached_property
+    def limit_zero(self) -> np.ndarray:
+        """S_0 = 1 - tr rho {sigma} per pair, (N,)."""
+        s0 = _limits(self.rho, self.sigma_spectra)
+        _read_only(s0)
+        return s0
+
+    @functools.cached_property
+    def limit_one(self) -> np.ndarray:
+        """S_1 = 1 - tr sigma {rho} per pair, (N,)."""
+        s1 = _limits(self.sigma, self.joint.rho)
+        _read_only(s1)
+        return s1
+
+    def cells(self, grid: _Grid) -> list[_Cells]:
+        """The compressed mixtures at the cells of a grid with a < 1.
 
         Per joint-support rank, in the order of ``joint``, the rank's cells
         in row-major order and their mixtures in one stacked eigh.  Kept,
         most recently used last, for the last ``_CORE_MIXTURES`` grids,
         keyed on the grid's bytes (N is the core's, so they fix K).
         """
-        key = grid.tobytes()
-        found = self._cells.pop(key, None)
+        found = self._cells.pop(grid.key, None)
         if found is None:
-            mixed = grid < 1.0
-            if not mixed.any():
-                return []
-            found = []
-            for support in self.joint.supports:
-                j, k = np.nonzero(mixed[support.pairs])
+            found = self._mixtures(grid)
+            if len(self._cells) == _CORE_MIXTURES:
+                del self._cells[next(iter(self._cells))]
+        self._cells[grid.key] = found
+        return found
+
+    def _mixtures(self, grid: _Grid) -> list[_Cells]:
+        """``cells`` of a grid that is not kept."""
+        if grid.cells is None:
+            return []
+        joint, found = self.joint, []
+        for support in joint.supports:
+            if len(joint.supports) == 1:
+                # every pair has this rank, so its cells are the grid's
+                i, k, a_c, b_c = grid.cells
+                j = i
+            else:
+                j, k = np.nonzero(grid.mixed[support.pairs])
                 if not j.size:
                     continue
                 i = support.pairs[j]
-                a_c = grid[i, k][:, None, None]
-                rho_c = support.rho_c[j]
-                dec, floored = _psd_spectra(a_c * rho_c + (1.0 - a_c) * support.sig_c[j])
-                # the log takes the eigenvalues floored at the mixture floor
-                log_tau = dec.apply(np.log(floored))
-                cross = np.trace(rho_c @ log_tau, axis1=1, axis2=2).real
-                relative = _clamp_entropy(self.joint.xlogx[i] - cross)
-                lam = self.joint.rho.eigenvalues[i]
-                found.append(_Cells(i, k, a_c[:, 0, 0], relative, dec, lam, support.rho_in_V, j))
-            if len(self._cells) == _CORE_MIXTURES:
-                del self._cells[next(iter(self._cells))]
-        self._cells[key] = found
+                a_c = grid.a[i, k][:, None, None]
+                b_c = 1.0 - a_c
+            # a cell per pair of the rank, in order (one column): the rank's
+            # arrays as they are, and the pairs' rows by ``_rows``
+            whole = grid.a.shape[1] == 1 and len(j) == len(support.pairs)
+            rho_c = support.rho_c if whole else support.rho_c[j]
+            tau_c = a_c * rho_c
+            tau_c += b_c * (support.sig_c if whole else support.sig_c[j])
+            dec, floored = _psd_spectra(tau_c)
+            # the log takes the eigenvalues floored at the mixture floor
+            log_tau = dec.apply(np.log(floored))
+            cross = (rho_c @ log_tau).trace(axis1=1, axis2=2).real
+            xlogx, lam = (_rows(x, i) if whole else x[i] for x in (joint.xlogx, joint.rho.eigenvalues))
+            relative = _clamp_entropy(xlogx - cross)
+            j = None if whole else j
+            found.append(_Cells(i, k, a_c[:, 0, 0], relative, dec, lam, support.rho_in_V, j))
         return found
 
     def sa(self, a) -> np.ndarray:
@@ -462,17 +593,15 @@ class _Core:
         The a = 0 and a = 1 cells are the closed-form limits; every other
         cell is (sum rho log rho - tr rho_c log tau_c) / (-log a), clamped.
         """
-        grid = mixed = self._grid(a)
-        values = np.empty(grid.shape)
-        if grid.min(initial=1.0) == 0.0:
-            i, k = (grid == 0.0).nonzero()
-            values[i, k] = _limits(self.rho, self.sigma_spectra)[i]
-            # the a = 0 cells move to a = 1, which takes no mixture
-            mixed = grid + (grid == 0.0)
-        if grid.max(initial=0.0) == 1.0:
-            i, k = (grid == 1.0).nonzero()
-            values[i, k] = _limits(self.sigma, self.joint.rho)[i]
-        for cells in self.cells(mixed):
+        grid = self._grid(a)
+        values = np.empty(grid.a.shape)
+        if grid.zero is not None:
+            i, k = grid.zero
+            values[i, k] = self.limit_zero[i]
+        if grid.one is not None:
+            i, k = grid.one
+            values[i, k] = self.limit_one[i]
+        for cells in self.cells(grid.sa_grid):
             values[cells.i, cells.k] = cells.sa
         return values
 
@@ -486,7 +615,7 @@ class _Core:
         and the overlaps at one grid take the products once.
         """
         grid = self._grid(a)
-        out = np.ones((len(grid), len(p_grid), grid.shape[1]))
+        out = np.ones((len(grid.a), len(p_grid), grid.a.shape[1]))
         for cells in self.cells(grid):
             for m, p in enumerate(p_grid):
                 out[cells.i, m, cells.k] = cells.overlaps(p)
@@ -504,13 +633,15 @@ class _Core:
         S_1 = 1 - tr sigma {rho} that ``sa`` takes at a = 1.
         """
         grid = self._grid(a)
-        scale = _grid_terms(_q_scale, grid[:, None, :], [[p] for p in p_grid])
-        values = (1.0 - self.overlaps(p_grid, grid)) / scale
-        limit = np.isinf(scale)
-        if limit.any():
-            i, m, k = limit.nonzero()
-            values[i, m, k] = _limits(self.sigma, self.joint.rho)[i]
-        return np.where(values < 0.0, 0.0, values)
+        scale, limit = grid.q_terms(tuple(p_grid))
+        values = self.overlaps(p_grid, grid)
+        np.subtract(1.0, values, out=values)
+        values /= scale
+        if limit is not None:
+            i, m, k = limit
+            values[i, m, k] = self.limit_one[i]
+        values[values < 0.0] = 0.0
+        return values
 
     def holevo_parts(self, w: np.ndarray):
         """What both Holevo paths take at one weight per pair, (N,): the
@@ -568,7 +699,9 @@ def _pair_core(rho: np.ndarray, sigma: np.ndarray) -> _Core:
     and the exact bytes of both, so each part of a pair's core is computed
     once while the pair stays among them, and every value is the one a
     fresh core gives.  A core reads its states from the key's bytes, so a
-    later change to the caller's arrays cannot reach it.
+    later change to the caller's arrays cannot reach it.  The key is the
+    part of a kept pair's per-call cost that grows with d: a copy and a
+    memcmp of each state, where a hash would read every byte again.
     """
     key = (rho.shape, rho.tobytes(), sigma.tobytes())
     for i, (kept, core) in enumerate(_CORES):
@@ -587,12 +720,12 @@ def tre_limit_zero(rho, sigma) -> float:
 
     Zero whenever sigma is faithful; 1 - tr rho sigma when sigma is pure.
     """
-    return float(_pair_core(*_as_pair(rho, sigma)).sa([[0.0]])[0, 0])
+    return float(_pair_core(*_as_pair(rho, sigma)).limit_zero[0])
 
 
 def tre_limit_one(rho, sigma) -> float:
     """a -> 1 limit: 1 - tr sigma {rho}.  Zero whenever rho is faithful."""
-    return float(_pair_core(*_as_pair(rho, sigma)).sa([[1.0]])[0, 0])
+    return float(_pair_core(*_as_pair(rho, sigma)).limit_one[0])
 
 
 def tre_pure_closed_form(t: float, a: float) -> float:

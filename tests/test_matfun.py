@@ -283,6 +283,8 @@ def _kept_arrays(core) -> list:
     kept += [joint.rho.eigenvalues, joint.rho.eigenvectors, joint.xlogx]
     for support in joint.supports:
         kept += list(support)
+    # the limits that have been read
+    kept += [vars(core)[name] for name in ("limit_zero", "limit_one") if name in vars(core)]
     for cells in core._cells.values():
         kept += [a for c in cells for a in (c.i, c.k, c.a, c.relative, c.mu, c.lam, c.weights)]
         # the overlaps at every p that has been read

@@ -11,7 +11,7 @@ from telent.renyi import (
     renyi_overlap_telescoped,
     trre,
 )
-from telent.tre import _Core, tre_limit_one
+from telent.tre import _Core, telescopic_relative_entropy, tre_limit_one, tre_limit_zero
 from telent.states import (
     random_mixed_hs,
     random_orthogonal_pair,
@@ -219,7 +219,7 @@ class TestTrre:
             warnings.simplefilter("error")
             assert trre(rho, sigma, [0.25, 0.5], a).tolist() == [tre_limit_one(rho, sigma)] * 2
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16, 64])
     def test_stack_is_bit_identical_to_one_pair(self, dim):
         rho, sigma = mixed_strata_stack(np.random.default_rng(dim), dim)
         p_grid, a_grid = (0.25, 0.5, 0.75), (0.0, 1e-11, 0.3, 1.0 - 1e-9, 1.0)
@@ -250,6 +250,18 @@ class TestTrre:
         expected = [[[trre(r, s, p, a) for a in row] for p in p_grid]
                     for r, s, row in zip(rho, sigma, rows)]
         assert trre(rho, sigma, p_grid, rows).tobytes() == np.array(expected).tobytes()
+        # the other one-pair quantities are their stacked values too
+        sa = telescopic_relative_entropy(rho, sigma, a_grid)
+        overlaps = renyi_overlap_telescoped(rho, sigma, p_grid, a_grid)
+        distances = trace_norm_distance(rho, sigma)
+        for n, (r, s) in enumerate(zip(rho, sigma)):
+            one_pair = [telescopic_relative_entropy(r, s, a) for a in a_grid]
+            assert np.array(one_pair).tobytes() == sa[n].tobytes()
+            ends = [tre_limit_zero(r, s), tre_limit_one(r, s)]
+            assert np.array(ends).tobytes() == sa[n, [0, -1]].tobytes()
+            one_pair = [[renyi_overlap_telescoped(r, s, p, a) for a in a_grid] for p in p_grid]
+            assert np.array(one_pair).tobytes() == overlaps[n].tobytes()
+            assert np.array(trace_norm_distance(r, s)).tobytes() == distances[n].tobytes()
 
 
 class TestDerivativeConsistency:

@@ -13,8 +13,11 @@ from helpers import (
     reference_holevo_relative,
     reference_limit,
     reference_sa,
+    reference_sample_pair,
 )
+from telent import tre
 from telent.matfun import _psd_spectra, support_basis, trace_norm_distance
+from telent.renyi import trre
 from telent.states import (
     pure_from_vector,
     qubit_pair_with_angle,
@@ -348,6 +351,52 @@ class TestRankGroupKernels:
         ends = telescopic_relative_entropy(rho, sigma, [0.0, 1.0])
         at_one = [tre_limit_one(r, s) for r, s in zip(rho, sigma)]
         assert ends.tobytes() == np.array([one_pair, at_one]).T.tobytes()
+
+
+# The quantity set of ``telent compute`` over the a- and p-grids of the
+# pairs_d64 benchmark: S_a at five a, T, S_0, S_1 and Q_{p,a} on 3 x 5.
+PAIR_A, PAIR_P = (0.1, 0.25, 0.5, 0.75, 0.9), (0.25, 0.5, 0.75)
+
+
+def _pair_quantities(rho, sigma):
+    return (
+        [telescopic_relative_entropy(rho, sigma, a) for a in PAIR_A],
+        trace_norm_distance(rho, sigma),
+        tre_limit_zero(rho, sigma),
+        tre_limit_one(rho, sigma),
+        [[trre(rho, sigma, p, a) for a in PAIR_A] for p in PAIR_P],
+    )
+
+
+class TestOnePairWork:
+    """What the one-pair calls decompose: each part of a pair's core once."""
+
+    @pytest.mark.parametrize("stratum", ["faithful", "rank_deficient", "pure", "orthogonal"])
+    def test_decompositions_of_the_quantity_set(self, stratum, linalg_calls):
+        rho, sigma = reference_sample_pair(np.random.default_rng(6), 6, stratum)
+        first = _pair_quantities(rho, sigma)
+        # one stacked eigh of rho and (rho+sigma)/2, one per mixture at the
+        # five a, one of sigma for S_0, and the eigvalsh of rho - sigma
+        assert linalg_calls == {"eigh": 7, "eigvalsh": 1, "eigh_matrices": 8}
+        # the same pair again, in fresh arrays: all kept but T
+        assert _pair_quantities(rho.copy(), sigma.copy()) == first
+        assert linalg_calls == {"eigh": 7, "eigvalsh": 2, "eigh_matrices": 8}
+
+    def test_limits_are_kept(self, rng, monkeypatch):
+        rho, sigma = random_mixed_hs(4, 2, rng), random_mixed_hs(4, 3, rng)
+        calls = []
+        limits = tre._limits
+        monkeypatch.setattr(tre, "_limits", lambda *args: calls.append(1) or limits(*args))
+        _CORES.clear()
+        values = [f(rho, sigma) for f in (tre_limit_zero, tre_limit_one)]
+        assert len(calls) == 2
+        # S_a and Q_{p,a} at the endpoints read the same kept limits
+        for _ in range(2):
+            assert [f(rho, sigma) for f in (tre_limit_zero, tre_limit_one)] == values
+            assert [telescopic_relative_entropy(rho, sigma, a) for a in (0.0, 1.0)] == values
+            assert trre(rho, sigma, [0.25, 0.5], 1.0).tolist() == [values[1]] * 2
+        assert len(calls) == 2
+        _CORES.clear()
 
 
 class TestLimits:
