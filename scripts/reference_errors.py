@@ -8,8 +8,7 @@ Runs the package of this checkout (its ``src``) on the pairs of
 worst absolute error of ``telescopic_relative_entropy`` per a and of
 ``trre`` per (p, a) against that module's mpmath references.  A change
 that moves a computed value runs it on both trees to show that no worst
-error grows.  Needs mpmath (the ``test`` extras); takes about half a
-minute.
+error grows.  Needs mpmath (the ``test`` extras); takes a few seconds.
 """
 
 from __future__ import annotations

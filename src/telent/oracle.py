@@ -132,6 +132,21 @@ def _shifted_inverses(A: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.linalg.inv(A[None, :, :] + s[:, None, None] * eye)
 
 
+def _sandwich_sum(w: np.ndarray, R: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sum_k w_k R_k M R_k for a stack R of shape (k, d, d), in two products.
+
+    Every R_k M is one (k d, d) @ (d, d) product; the weighted sum over the
+    nodes and the inner index is one (d, k d) @ (k d, d) product.  That is
+    about a third of the time of ``np.einsum(..., optimize=True)``, which
+    searches for a contraction path on every call, and of a stack of k
+    small products, which numpy takes one by one.
+    """
+    k, d, _ = R.shape
+    X = (R.reshape(k * d, d) @ M).reshape(k, d, d)
+    X *= w[:, None, None]
+    return X.transpose(1, 0, 2).reshape(d, k * d) @ R.reshape(k * d, d)
+
+
 def quad_log(x: float, scheme: QuadratureScheme | None = None) -> float:
     """log x as the integral of 1/(1+s) - 1/(x+s) over s in (0, inf)."""
     if x <= 0.0:
@@ -154,8 +169,7 @@ def quad_frechet_log(
     sch = scheme if scheme is not None else rational_scheme()
     _require_kind(sch, "rational")
     R = _shifted_inverses(A, sch.nodes)
-    out = np.einsum("k,kab,bc,kcd->ad", sch.weights, R, Delta, R, optimize=True)
-    return hermitian_part(out)
+    return hermitian_part(_sandwich_sum(sch.weights, R, Delta))
 
 
 def quad_projector_integral(
@@ -175,8 +189,7 @@ def quad_projector_integral(
     sch = scheme if scheme is not None else log_scheme()
     _require_kind(sch, "log")
     R = _shifted_inverses(rho, sch.nodes)
-    out = np.einsum("k,kab,bc,kcd->ad", sch.weights, R, rho, R, optimize=True)
-    return hermitian_part(out)
+    return hermitian_part(_sandwich_sum(sch.weights, R, rho))
 
 
 def quad_tre(rho, sigma, a: float, scheme: QuadratureScheme | None = None) -> float:
@@ -228,10 +241,7 @@ def quad_frechet_power(
     sch = scheme if scheme is not None else power_scheme(p)
     _require_kind(sch, "power", p)
     R = _shifted_inverses(A, sch.nodes)
-    out = np.einsum(
-        "k,kab,bc,kcd->ad", sch.weights * sch.nodes, R, Delta, R, optimize=True
-    )
-    return hermitian_part(out)
+    return hermitian_part(_sandwich_sum(sch.weights * sch.nodes, R, Delta))
 
 
 def finite_diff_frechet(kind: str, A, Delta, h: float, p: float | None = None) -> np.ndarray:

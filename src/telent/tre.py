@@ -226,7 +226,8 @@ def _pairs(rho, sigma, a):
     no formula of its own.  On a kept pair its cost is the check of ``a``
     and of the shapes, and the key of ``_pair_core``, two copies and
     compares of the states' bytes (about 7 us at d = 64); the first call at
-    a new a adds one eigh of the compressed mixture and two d^3 products.
+    a new a adds one eigh of the compressed mixture and one d^3 product,
+    the overlap weights, which S_a and Q_{p,a} at that a share.
     """
     grid = _checked(a, "telescoping parameter a")
     if grid.ndim > 2:
@@ -253,14 +254,14 @@ def _limits(states, dec: SpectralDecomposition) -> np.ndarray:
     """1 - tr rho P per pair of a stack, P = V V* the projector onto the
     support of the matching cut spectrum of ``dec``.
 
-    One stacked product per support rank; each element is the one-pair
-    value bit for bit.
+    tr rho P is taken as tr V* rho V, without forming P: one stacked
+    product rho V per support rank; each element is the one-pair value bit
+    for bit.
     """
     traces = np.empty(len(states))
     for rank, rows in _rank_groups(dec.eigenvalues):
         V = _support(dec.eigenvectors, rows, rank)
-        P = V @ V.conj().swapaxes(-1, -2)
-        traces[rows] = np.trace(_rows(states, rows) @ P, axis1=1, axis2=2).real
+        traces[rows] = np.sum(V.conj() * (_rows(states, rows) @ V), axis=(1, 2)).real
     return _clamp_entropy(1.0 - traces)
 
 
@@ -385,6 +386,8 @@ class _Joint(NamedTuple):
 
     rho: SpectralDecomposition  # the cut spectra of rho, shape (N, d)
     xlogx: np.ndarray  # sum lambda log lambda of rho, shape (N,)
+    # lambda log lambda (0 log 0 = 0) and lambda per eigenvalue of rho, (N, 2, d)
+    entropy_rows: np.ndarray
     supports: tuple  # a _Support per joint-support rank, in order of first appearance
 
 
@@ -392,31 +395,28 @@ class _Cells:
     """The compressed mixtures tau_c of one joint-support rank at one grid.
 
     Per cell: its pair ``i``, its column ``k`` of the grid and its
-    telescoping parameter ``a``, ``relative``, S(rho || tau) =
-    sum rho log rho - tr rho_c log tau_c clamped, ``mu``, the cut
-    eigenvalues of tau_c, shape (n, r), and ``lam``, the cut eigenvalues
-    of rho, shape (n, d).  S_a, the overlap weights and the overlaps at
-    each p are taken on first use, so a kept cell's S_a or overlap is a
-    lookup, and S_a alone does not pay for the weights' products.  Every
-    array is read-only.
+    telescoping parameter ``a``, ``mu``, the cut eigenvalues of tau_c,
+    shape (n, r), ``floored``, its uncut eigenvalues floored at the
+    mixture floor, and ``lam``, the cut eigenvalues of rho, shape (n, d),
+    a view of ``_Joint.entropy_rows``.
+    The overlap weights W, S(rho || tau), S_a and the overlaps at each p
+    are taken on first use, so a kept cell's S_a or overlap is a lookup.
+    S(rho || tau) and the overlaps are sums over W's entries with lam_i
+    on the rows and a function of mu_j on the columns, so S_a and Q_{p,a}
+    at one grid share W's product, and S_a alone takes no other d^3
+    product.  Every array is read-only.
     """
 
-    def __init__(self, i, k, a, relative, dec, lam, rho_in_V, j) -> None:
-        self.i, self.k, self.a, self.relative, self.lam = i, k, a, relative, lam
+    def __init__(self, i, k, a, dec, floored, entropy_rows, rho_in_V, j) -> None:
+        self.i, self.k, self.a, self.floored = i, k, a, floored
         self.mu = dec.eigenvalues
+        self._entropy_rows, self.lam = entropy_rows, entropy_rows[:, 1]
         # U_rho* V of the rank's pairs, each cell's position among them (None
         # where the cells are the rank's pairs in order), and the
         # eigenvectors of tau_c
         self._factors = rho_in_V, j, dec.eigenvectors
         self._overlaps: dict[float, np.ndarray] = {}
-        _read_only(i, k, a, relative, self.mu, lam)
-
-    @functools.cached_property
-    def sa(self) -> np.ndarray:
-        """S_a = S(rho || tau) / (-log a) clamped, at cells with a > 0."""
-        sa = _clamp_entropy(self.relative / -np.log(self.a))
-        _read_only(sa)
-        return sa
+        _read_only(i, k, a, self.mu, floored, entropy_rows, self.lam)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -429,9 +429,34 @@ class _Cells:
         _read_only(weights)
         return weights
 
+    @functools.cached_property
+    def relative(self) -> np.ndarray:
+        """S(rho || tau) = sum_ij lambda_i W_ij (log lambda_i - log mu_j)
+        clamped, with mu floored, so the log is finite on the kernel of tau,
+        where rho has no weight.
+
+        The rows of W sum to 1 on the support of rho, so this is
+        sum lambda log lambda - sum_ij lambda_i W_ij log mu_j.  It is summed
+        per column j, ((lambda log lambda) W)_j - (lambda W)_j log mu_j,
+        so both terms, which cancel as tau tends to rho, carry the same
+        roundoff of W: the 40-digit reference puts the difference of the
+        two sums taken apart up to 3x further off at a = 0.5 and 0.9.
+        """
+        y = self._entropy_rows @ self.weights
+        relative = _clamp_entropy(np.add.reduce(y[:, 0] - y[:, 1] * np.log(self.floored), axis=1))
+        _read_only(relative)
+        return relative
+
+    @functools.cached_property
+    def sa(self) -> np.ndarray:
+        """S_a = S(rho || tau) / (-log a) clamped, at cells with a > 0."""
+        sa = _clamp_entropy(self.relative / -np.log(self.a))
+        _read_only(sa)
+        return sa
+
     def overlaps(self, p: float) -> np.ndarray:
-        """tr rho^(1-p) tau^p = sum_ij lam_i^(1-p) mu_j^p W_ij per cell, W the
-        weights, kept per p.  Every term is nonnegative, so the sum is too."""
+        """tr rho^(1-p) tau^p = sum_ij lam_i^(1-p) mu_j^p W_ij per cell, kept
+        per p.  Every term is nonnegative, so the sum is too."""
         if p not in self._overlaps:
             row = _pow(self.lam, 1.0 - p)[:, None, :]
             self._overlaps[p] = (row @ self.weights @ _pow(self.mu, p)[:, :, None])[:, 0, 0]
@@ -457,10 +482,11 @@ class _Core:
       a = 1 and Q_{p,a} where 1 - a^p is 0 read them;
     * ``cells(grid)``: per rank, one stacked eigh of the compressed
       mixtures tau_c = a*rho_c + (1-a)*sig_c at the grid's cells with
-      a < 1, which gives S(rho || tau) from tr rho_c log tau_c, the cut
-      eigenvalues mu of tau_c, the overlap weights and the overlaps per p,
-      from which ``q`` takes Q_{p,a}.  The last ``_CORE_MIXTURES`` grids
-      are kept;
+      a < 1, which gives the cut eigenvalues mu of tau_c and, from one
+      product, the overlap weights W = |U_rho* V U_tau_c|^2.  S(rho || tau)
+      and the overlaps per p, from which ``q`` takes Q_{p,a}, are sums over
+      W (see ``_Cells``); no log tau_c is formed.  The last
+      ``_CORE_MIXTURES`` grids are kept;
     * ``holevo_parts(w)``: the Holevo mixtures of the last weights.
 
     A grid's index arithmetic (which cells are at a = 0, at a = 1 or
@@ -520,8 +546,11 @@ class _Core:
             _read_only(*support)
             supports.append(support)
         xlogx = _sum_xlogx(lam)
-        _read_only(lam, U, xlogx)
-        return _Joint(SpectralDecomposition(lam, U), xlogx, tuple(supports))
+        rows = np.empty((n, 2, lam.shape[1]))
+        np.multiply(lam, np.log(lam, out=np.zeros_like(lam), where=lam > 0.0), out=rows[:, 0])
+        rows[:, 1] = lam
+        _read_only(lam, U, xlogx, rows)
+        return _Joint(SpectralDecomposition(lam, U), xlogx, rows, tuple(supports))
 
     @functools.cached_property
     def limit_zero(self) -> np.ndarray:
@@ -577,13 +606,9 @@ class _Core:
             tau_c = a_c * rho_c
             tau_c += b_c * (support.sig_c if whole else support.sig_c[j])
             dec, floored = _psd_spectra(tau_c)
-            # the log takes the eigenvalues floored at the mixture floor
-            log_tau = dec.apply(np.log(floored))
-            cross = (rho_c @ log_tau).trace(axis1=1, axis2=2).real
-            xlogx, lam = (_rows(x, i) if whole else x[i] for x in (joint.xlogx, joint.rho.eigenvalues))
-            relative = _clamp_entropy(xlogx - cross)
+            rows = _rows(joint.entropy_rows, i) if whole else joint.entropy_rows[i]
             j = None if whole else j
-            found.append(_Cells(i, k, a_c[:, 0, 0], relative, dec, lam, support.rho_in_V, j))
+            found.append(_Cells(i, k, a_c[:, 0, 0], dec, floored, rows, support.rho_in_V, j))
         return found
 
     def sa(self, a) -> np.ndarray:
@@ -591,7 +616,9 @@ class _Core:
         (N, K) with a row per pair; shape (N, K).
 
         The a = 0 and a = 1 cells are the closed-form limits; every other
-        cell is (sum rho log rho - tr rho_c log tau_c) / (-log a), clamped.
+        cell is S(rho || tau) / (-log a), clamped, with S(rho || tau) =
+        sum_ij lambda_i W_ij (log lambda_i - log mu_j) from the cell's
+        overlap weights W (``_Cells.relative``).
         """
         grid = self._grid(a)
         values = np.empty(grid.a.shape)

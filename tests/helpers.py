@@ -89,10 +89,11 @@ def _reference_clamp(value):
 
 
 def reference_limit(rho, sigma):
-    """1 - tr rho {sigma}, the a -> 0 limit, with the projector built whole."""
+    """1 - tr rho {sigma}, the a -> 0 limit, with tr rho {sigma} taken as
+    the sum of conj(V) times rho V, V the support of sigma."""
     lam, U, _ = reference_psd_spectrum(sigma)
     V = U[:, lam > 0.0]
-    return _reference_clamp(1.0 - float(np.real(np.trace(rho @ (V @ V.conj().T)))))
+    return _reference_clamp(1.0 - float(np.sum(V.conj() * (rho @ V)).real))
 
 
 def reference_sa(rho, sigma, a):
@@ -101,16 +102,27 @@ def reference_sa(rho, sigma, a):
         return reference_limit(rho, sigma)
     if a == 1.0:
         return reference_limit(sigma, rho)
+    lam, weights, _, floored = _reference_weights(rho, sigma, a)
+    # sum_ij lam_i W_ij (log lam_i - log mu_j), summed per column j
+    lam_log_lam = lam * np.log(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    y = np.stack((lam_log_lam, lam)) @ weights
+    value = float(np.sum(y[0] - y[1] * np.log(floored)))
+    return _reference_clamp(_reference_clamp(value) / (-np.log(a)))
+
+
+def _reference_weights(rho, sigma, a):
+    """(lam, W, mu, floored) of one pair at one a: the cut spectrum lam of
+    rho, the overlap weights W_ij = |(U_rho* V U_tau_c)_ij|^2 with V the
+    joint support and tau_c the mixture compressed to it, and the cut and
+    the floored eigenvalues of tau_c."""
     lam, U, _ = reference_psd_spectrum((rho + sigma) / 2.0)
     V = U[:, lam > 0.0]
     rho_c = V.conj().T @ rho @ V
     tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
-    _, U, floored = reference_psd_spectrum(tau_c)
-    log_tau = (U * np.log(floored)) @ U.conj().T
-    lam_rho = reference_psd_spectrum(rho)[0]
-    pos = lam_rho[lam_rho > 0.0]
-    value = float(np.sum(pos * np.log(pos))) - float(np.real(np.trace(rho_c @ log_tau)))
-    return _reference_clamp(_reference_clamp(value) / (-np.log(a)))
+    mu, U_tau, floored = reference_psd_spectrum(tau_c)
+    lam_rho, U_rho, _ = reference_psd_spectrum(rho)
+    M = (U_rho.conj().T @ V) @ U_tau
+    return lam_rho, M.real**2 + M.imag**2, mu, floored
 
 
 def _reference_pow(lam, q):
@@ -123,14 +135,7 @@ def reference_overlap(rho, sigma, p, a):
     sum_ij lam_i^(1-p) mu_j^p |(U_rho* V U_tau_c)_ij|^2: the cut spectra of
     rho and of tau compressed to the joint support V, with x^0 the support
     mask."""
-    lam, U, _ = reference_psd_spectrum((rho + sigma) / 2.0)
-    V = U[:, lam > 0.0]
-    rho_c = V.conj().T @ rho @ V
-    tau_c = a * rho_c + (1.0 - a) * (V.conj().T @ sigma @ V)
-    mu, U_tau, _ = reference_psd_spectrum(tau_c)
-    lam_rho, U_rho, _ = reference_psd_spectrum(rho)
-    M = (U_rho.conj().T @ V) @ U_tau
-    weights = M.real**2 + M.imag**2
+    lam_rho, weights, mu, _ = _reference_weights(rho, sigma, a)
     row = _reference_pow(lam_rho, 1.0 - p)[None, :]
     return float((row @ weights @ _reference_pow(mu, p)[:, None])[0, 0])
 

@@ -15,7 +15,8 @@ the mixture is finite wherever rho has weight.  They share no code with
 the package.
 
 ``scripts/reference_errors.py`` prints the worst error of each node over
-the pairs of this module, for a change that moves a value to show.
+the pairs of this module, so a change that moves a value can show that
+no worst error grows.
 """
 
 import numpy as np
@@ -28,9 +29,11 @@ from telent.tre import telescopic_relative_entropy
 mpmath = pytest.importorskip("mpmath")
 
 DIGITS = 40
-# S_a per a: twice the worst error measured over this module's pairs
-# (1.25e-6, 1.17e-8, 1.73e-11, 1.22e-15, 1.33e-15, 7.55e-15, 2.62e-6).
-# Near the ends of the range the cross term cancels against
+# S_a per a: twice the worst error over this module's pairs of the cross
+# term taken as tr rho_c log tau_c (1.25e-6, 1.17e-8, 1.73e-11, 1.22e-15,
+# 1.33e-15, 7.55e-15, 2.62e-6); taken from the overlap weights it errs by
+# at most 1.25e-6, 1.17e-8, 1.73e-11, 1.33e-15, 1.33e-15, 7.99e-15 and
+# 1.22e-6.  Near the ends of the range the cross term cancels against
 # sum lambda log lambda, and 1/(-log a) amplifies that at a -> 1.
 SA_TOLERANCE = {
     1e-11: 2.5e-6,
@@ -73,8 +76,8 @@ def _mp_spectrum(H, cut=True):
     lam = [lam[i] for i in range(H.rows)]
     if not cut:
         return lam, U
-    cut = max(H.rows, 16) * mpmath.mpf(2) ** -52 * max(lam)
-    return [x if x > cut else mpmath.mpf(0) for x in lam], U
+    level = max(H.rows, 16) * mpmath.mpf(2) ** -52 * max(lam)
+    return [x if x > level else mpmath.mpf(0) for x in lam], U
 
 
 def reference_sa(rho, sigma, a_grid):

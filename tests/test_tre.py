@@ -382,6 +382,18 @@ class TestOnePairWork:
         assert _pair_quantities(rho.copy(), sigma.copy()) == first
         assert linalg_calls == {"eigh": 7, "eigvalsh": 2, "eigh_matrices": 8}
 
+    def test_trre_alone_takes_no_relative_entropy(self, rng, linalg_calls):
+        rho, sigma = random_mixed_hs(4, 4, rng), random_mixed_hs(4, 2, rng)
+        trre(rho, sigma, 0.5, 0.3)
+        ((_, core),) = _CORES
+        ((cell,),) = core._cells.values()
+        assert "weights" in vars(cell) and "relative" not in vars(cell)
+        # S_a at the same a reads the cell's weights and decomposes nothing
+        calls = dict(linalg_calls)
+        telescopic_relative_entropy(rho, sigma, 0.3)
+        assert "relative" in vars(cell) and "sa" in vars(cell)
+        assert linalg_calls == calls
+
     def test_limits_are_kept(self, rng, monkeypatch):
         rho, sigma = random_mixed_hs(4, 2, rng), random_mixed_hs(4, 3, rng)
         calls = []
